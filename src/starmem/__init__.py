@@ -20,7 +20,7 @@ from .memory import (
     token_count,
     write_frame,
 )
-from .runtime import MemoryHandle, RuntimeMetrics, StreamOrderError, StreamSource, query_snapshot, run_frame_handler
+from .runtime import MemoryHandle, RuntimeMetrics, StreamSource, query_snapshot, run_frame_handler
 from .semantic import AbstractMemory, sa_init, sa_update
 from .synth import (
     EmptyWindowError,
@@ -41,7 +41,7 @@ __all__ = [
     "EmptyWindowError", "Event", "EventScript", "FeatureBuffer", "FeatureMap",
     "FidelityReport", "FrameOrderError", "InvariantError", "MemoryConfig",
     "MemoryHandle", "MemorySnapshot", "RetrievedFrame", "RuntimeMetrics",
-    "StarMemory", "StreamOrderError", "StreamSource", "WeightedPoint",
+    "StarMemory", "StreamSource", "WeightedPoint",
     "WindowSpec", "apply_window", "avg_pool", "evaluate_compression",
     "flatten", "generate_stream", "query_snapshot", "retrieve_update",
     "run_frame_handler", "sa_init", "sa_update", "single_step_merge",

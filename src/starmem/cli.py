@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .features import ConfigError, MemoryConfig
@@ -22,12 +23,13 @@ from .fileio import (
     load_run_config,
     read_snapshot,
     read_stream_file,
+    window_from_run_options,
     write_snapshot,
     write_stream_file,
 )
 from .memory import EmptyMemoryError, InvariantError
 from .runtime import MemoryHandle, RuntimeMetrics, run_frame_handler, query_snapshot
-from .synth import EmptyWindowError, WindowSpec, apply_window, evaluate_compression, generate_stream
+from .synth import EmptyWindowError, apply_window, evaluate_compression, generate_stream
 
 log = logging.getLogger("starmem")
 
@@ -64,9 +66,7 @@ def cmd_run(args) -> int:
     if args.config:
         config, run_opts = load_run_config(args.config)
     else:
-        config, run_opts = MemoryConfig(), {
-            "mode": "global", "half_width_s": 15.0, "realtime": False,
-        }
+        config, run_opts = MemoryConfig(), {}
     # Command-line flags override the config file.
     if args.mode:
         run_opts["mode"] = args.mode
@@ -79,20 +79,10 @@ def cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else run_opts.get("seed")
 
     source, script = _load_input_stream(Path(args.input), seed)
-    window = WindowSpec(
-        mode=run_opts.get("mode", "global"),
-        breakpoint_s=run_opts.get("breakpoint_s"),
-        half_width_s=run_opts.get("half_width_s", 15.0),
-    )
-    source = apply_window(source, window)
+    source = apply_window(source, window_from_run_options(run_opts))
 
     if script is not None and script.dim != config.dim:
-        config = MemoryConfig(**{
-            **{f: getattr(config, f) for f in (
-                "p_spa", "p_tem", "p_abs", "n_buff", "n_spa",
-                "n_tem", "n_abs", "n_ret", "distance")},
-            "dim": script.dim,
-        })
+        config = replace(config, dim=script.dim)
 
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)

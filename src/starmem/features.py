@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,12 +41,11 @@ class FeatureMap:
         object.__setattr__(self, "values", v)
 
 
-def avg_pool(e: FeatureMap, target_side: int, adaptive: bool = False) -> FeatureMap:
+def avg_pool(e: FeatureMap, target_side: int) -> FeatureMap:
     """Average-pool a feature map down to target_side x target_side.
 
-    Strict mode (default) requires target_side to divide e.side; adaptive mode
-    covers the grid with near-even variable bins. Accumulation is double
-    precision regardless of input dtype. Channels are untouched.
+    target_side must divide e.side. Accumulation is double precision
+    regardless of input dtype. Channels are untouched.
     """
     if target_side <= 0:
         raise ConfigError("target_side must be positive")
@@ -54,22 +53,11 @@ def avg_pool(e: FeatureMap, target_side: int, adaptive: bool = False) -> Feature
         raise ConfigError(f"cannot pool {e.side} up to {target_side}")
     if target_side == e.side:
         return e
+    if e.side % target_side:
+        raise ConfigError(f"target_side {target_side} does not divide side {e.side}")
     v = e.values.astype(np.float64, copy=False)
-    if e.side % target_side == 0:
-        b = e.side // target_side
-        pooled = v.reshape(target_side, b, target_side, b, e.dim).mean(axis=(1, 3))
-    elif not adaptive:
-        raise ConfigError(
-            f"target_side {target_side} does not divide side {e.side} (strict mode)"
-        )
-    else:
-        edges = [int(np.floor(i * e.side / target_side)) for i in range(target_side)]
-        edges.append(e.side)
-        pooled = np.empty((target_side, target_side, e.dim), dtype=np.float64)
-        for r in range(target_side):
-            for c in range(target_side):
-                block = v[edges[r]:edges[r + 1], edges[c]:edges[c + 1]]
-                pooled[r, c] = block.mean(axis=(0, 1))
+    b = e.side // target_side
+    pooled = v.reshape(target_side, b, target_side, b, e.dim).mean(axis=(1, 3))
     return replace(
         e,
         side=target_side,
@@ -142,13 +130,14 @@ class MemoryConfig:
     n_abs: int = 25
     n_ret: int = 3
     dim: int = 1024
-    distance: str = "sqeuclidean"
 
     def __post_init__(self):
-        for name in ("p_spa", "p_tem", "p_abs", "n_buff", "n_spa",
-                     "n_tem", "n_abs", "n_ret", "dim"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
+            if v <= 0:
+                raise ConfigError(f"{f.name} must be positive")
         if self.n_spa > self.n_buff:
             raise ConfigError("n_spa must not exceed n_buff")
         if self.n_ret > self.n_buff:
@@ -157,8 +146,6 @@ class MemoryConfig:
             raise ConfigError("n_ret must not exceed n_tem")
         if not (self.p_abs <= self.p_tem <= self.p_spa):
             raise ConfigError("pooled sides must satisfy p_abs <= p_tem <= p_spa")
-        if self.distance != "sqeuclidean":
-            raise ConfigError(f"unsupported distance: {self.distance!r}")
 
     @property
     def max_size(self) -> int:

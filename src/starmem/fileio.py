@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .features import FeatureMap, MemoryConfig
-from .memory import MemorySnapshot
+from .memory import STORES, MemorySnapshot
 from .runtime import StreamSource
 from .synth import Event, EventScript, WindowSpec
 
@@ -109,24 +110,13 @@ def write_snapshot(path, snap: MemorySnapshot) -> None:
             snap.config.dim, matrix.shape[0],
         ))
         fh.write(matrix.tobytes())
-    cfg = snap.config
     sidecar = {
         "epoch": snap.epoch,
         "store_epochs": list(snap.store_epochs),
         "token_count": snap.token_count,
-        "dim": cfg.dim,
-        "config": {
-            "p_spa": cfg.p_spa, "p_tem": cfg.p_tem, "p_abs": cfg.p_abs,
-            "n_buff": cfg.n_buff, "n_spa": cfg.n_spa, "n_tem": cfg.n_tem,
-            "n_abs": cfg.n_abs, "n_ret": cfg.n_ret, "dim": cfg.dim,
-            "distance": cfg.distance,
-        },
-        "store_counts": {
-            "spatial": len(snap.spatial),
-            "temporal": len(snap.temporal),
-            "abstract": len(snap.abstract),
-            "retrieved": len(snap.retrieved),
-        },
+        "dim": snap.config.dim,
+        "config": asdict(snap.config),
+        "store_counts": dict(zip(STORES, snap.store_counts)),
         "temporal_weights": snap.temporal_weights.tolist(),
         "temporal_newest": snap.temporal_newest.tolist(),
         "retrieved_frame_indices": list(snap.retrieved_frame_indices),
@@ -158,36 +148,35 @@ def read_snapshot(path) -> MemorySnapshot:
         meta = json.loads(sidecar_path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{sidecar_path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{sidecar_path}: sidecar must be a JSON object")
     if meta.get("epoch") != epoch or meta.get("token_count") != rows:
         raise FormatError(f"{path}: sidecar does not match binary header")
-    cfg = MemoryConfig(**meta["config"])
-    counts = meta["store_counts"]
-    edges = np.cumsum([0, counts["spatial"], counts["temporal"],
-                       counts["abstract"], counts["retrieved"]])
-    if edges[-1] != rows:
-        raise FormatError(f"{path}: store counts do not sum to token count")
-    return MemorySnapshot(
-        epoch=epoch,
-        config=cfg,
-        spatial=matrix[edges[0]:edges[1]],
-        temporal=matrix[edges[1]:edges[2]],
-        abstract=matrix[edges[2]:edges[3]],
-        retrieved=matrix[edges[3]:edges[4]],
-        store_epochs=tuple(meta["store_epochs"]),
-        temporal_weights=np.array(meta["temporal_weights"], dtype=np.float64),
-        temporal_newest=np.array(meta["temporal_newest"], dtype=np.int64),
-        retrieved_frame_indices=tuple(meta["retrieved_frame_indices"]),
-        retrieved_cluster_indices=tuple(meta["retrieved_cluster_indices"]),
-        retrieved_cluster_ranks=tuple(meta["retrieved_cluster_ranks"]),
-    )
+    try:
+        cfg = MemoryConfig(**meta["config"])
+        counts = tuple(meta["store_counts"][name] for name in STORES)
+        snap = MemorySnapshot(
+            epoch=epoch,
+            config=cfg,
+            tokens=matrix,
+            store_counts=counts,
+            store_epochs=tuple(meta["store_epochs"]),
+            temporal_weights=np.array(meta["temporal_weights"], dtype=np.float64),
+            temporal_newest=np.array(meta["temporal_newest"], dtype=np.int64),
+            retrieved_frame_indices=tuple(meta["retrieved_frame_indices"]),
+            retrieved_cluster_indices=tuple(meta["retrieved_cluster_indices"]),
+            retrieved_cluster_ranks=tuple(meta["retrieved_cluster_ranks"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{sidecar_path}: bad sidecar: {exc!r}") from exc
+    if not all(isinstance(n, int) and n >= 0 for n in counts) or sum(counts) != rows:
+        raise FormatError(f"{path}: store counts {counts} do not split {rows} tokens")
+    return snap
 
 
 # -- run configs -------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "p_spa", "p_tem", "p_abs", "n_buff", "n_spa", "n_tem", "n_abs", "n_ret",
-    "dim", "distance",
-}
+_CONFIG_KEYS = {f.name for f in fields(MemoryConfig)}
 _RUN_KEYS = {"mode", "breakpoint_s", "half_width_s", "realtime", "seed"}
 
 

@@ -3,17 +3,19 @@ clusters, abstract synopsis, and retrieved frames, with budget-bounded
 snapshots.
 
 Per written frame, in order: the buffer gets the frame pooled to the spatial
-side (FIFO, bounded); the spatial store is the newest buffer entries; the
-temporal store folds the coarser pooled frame into its weighted clusters; the
-abstract store absorbs the coarsest pooling; retrieval re-selects the buffer
-frames nearest to the heaviest cluster centroids. Every store carries the
-epoch that produced it, and snapshots expose those stamps so torn reads are
-detectable.
+side (FIFO, bounded), keyed by its pooling to the temporal side; the spatial
+store is the newest buffer entries; the temporal store folds that key into its
+weighted clusters; the abstract store absorbs the coarsest pooling; retrieval
+re-selects the buffer frames whose keys are nearest to the heaviest cluster
+centroids. Frames must arrive with strictly increasing frame_index and
+timestamp_s. Every store carries the epoch that produced it, and snapshots
+expose those stamps so torn reads are detectable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .wkmeans import ClusterSet, WeightedPoint, single_step_merge
 
 
 class FrameOrderError(ValueError):
-    """Frame written out of order."""
+    """Frame index or timestamp not after the previous frame's."""
 
 
 class EmptyMemoryError(RuntimeError):
@@ -36,22 +38,21 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class FeatureBuffer:
-    """Bounded FIFO of pooled frames, newest first."""
+    """Bounded FIFO of pooled frames, newest first.
+
+    keys[i] is the retrieval key of entries[i]: the same frame pooled to the
+    temporal side and flattened, as the temporal store sees it.
+    """
 
     entries: tuple[FeatureMap, ...]
+    keys: tuple[np.ndarray, ...]
     capacity: int
 
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if len(self.entries) > self.capacity:
-            raise ValueError("buffer over capacity")
-        idx = [e.frame_index for e in self.entries]
-        if any(a <= b for a, b in zip(idx, idx[1:])):
-            raise ValueError("buffer entries must be strictly newest-first")
-
-    def push(self, e: FeatureMap) -> "FeatureBuffer":
-        return FeatureBuffer((e,) + self.entries[: self.capacity - 1], self.capacity)
+    def push(self, e: FeatureMap, key: np.ndarray) -> "FeatureBuffer":
+        keep = self.capacity - 1
+        return FeatureBuffer(
+            (e,) + self.entries[:keep], (key,) + self.keys[:keep], self.capacity
+        )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -65,16 +66,22 @@ class RetrievedFrame:
     distance: float
 
 
+# Store order in a snapshot's token matrix.
+STORES = ("spatial", "temporal", "abstract", "retrieved")
+
+
 @dataclass(frozen=True)
 class MemorySnapshot:
-    """Immutable, consistent read of all four stores at one epoch."""
+    """Immutable, consistent read of all four stores at one epoch.
+
+    tokens is one read-only (token_count, D) float32 matrix holding the
+    stores' rows in STORES order; store_counts gives each store's row count.
+    """
 
     epoch: int
     config: MemoryConfig
-    spatial: np.ndarray          # (n_spatial_tokens, D)
-    temporal: np.ndarray         # (n_temporal_tokens, D)
-    abstract: np.ndarray         # (n_abstract_tokens, D)
-    retrieved: np.ndarray        # (n_retrieved_tokens, D)
+    tokens: np.ndarray
+    store_counts: tuple[int, int, int, int]
     store_epochs: tuple[int, int, int, int]
     temporal_weights: np.ndarray
     temporal_newest: np.ndarray
@@ -85,16 +92,31 @@ class MemorySnapshot:
     @property
     def matrix(self) -> np.ndarray:
         """All tokens stacked spatial, temporal, abstract, retrieved."""
-        return np.concatenate(
-            [self.spatial, self.temporal, self.abstract, self.retrieved], axis=0
-        )
+        return self.tokens
 
     @property
     def token_count(self) -> int:
-        return (
-            len(self.spatial) + len(self.temporal)
-            + len(self.abstract) + len(self.retrieved)
-        )
+        return len(self.tokens)
+
+    def _store(self, i: int) -> np.ndarray:
+        start = sum(self.store_counts[:i])
+        return self.tokens[start:start + self.store_counts[i]]
+
+    @property
+    def spatial(self) -> np.ndarray:
+        return self._store(0)
+
+    @property
+    def temporal(self) -> np.ndarray:
+        return self._store(1)
+
+    @property
+    def abstract(self) -> np.ndarray:
+        return self._store(2)
+
+    @property
+    def retrieved(self) -> np.ndarray:
+        return self._store(3)
 
 
 @dataclass(frozen=True)
@@ -106,15 +128,12 @@ class StarMemory:
     retrieved: tuple[RetrievedFrame, ...]
     epoch: int
     store_epochs: tuple[int, int, int, int] = (0, 0, 0, 0)
-    # Memoized p_spa -> p_tem pooled flattenings of buffer frames, keyed by
-    # frame_index. Writer-only; entries are append-only and immutable.
-    pooled_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def new(config: MemoryConfig) -> "StarMemory":
         return StarMemory(
             config=config,
-            buffer=FeatureBuffer((), config.n_buff),
+            buffer=FeatureBuffer((), (), config.n_buff),
             temporal=ClusterSet.empty(config.n_tem),
             abstract=None,
             retrieved=(),
@@ -128,21 +147,26 @@ class StarMemory:
 
 
 def write_frame(mem: StarMemory, e: FeatureMap) -> StarMemory:
-    """Fold one frame into every store and advance the epoch."""
+    """Fold one frame into every store and advance the epoch.
+
+    The frame's frame_index and timestamp_s must both be greater than the
+    previous frame's, or FrameOrderError is raised.
+    """
     cfg = mem.config
-    if len(mem.buffer) and e.frame_index <= mem.buffer.entries[0].frame_index:
-        raise FrameOrderError(
-            f"frame {e.frame_index} not newer than {mem.buffer.entries[0].frame_index}"
-        )
+    if len(mem.buffer):
+        last = mem.buffer.entries[0]
+        if e.frame_index <= last.frame_index or e.timestamp_s <= last.timestamp_s:
+            raise FrameOrderError(
+                f"frame {e.frame_index} at {e.timestamp_s} s not after "
+                f"frame {last.frame_index} at {last.timestamp_s} s"
+            )
     if e.dim != cfg.dim:
         raise ValueError(f"frame dim {e.dim} != configured dim {cfg.dim}")
     if e.side < cfg.p_spa:
         raise ValueError(f"frame side {e.side} < p_spa {cfg.p_spa}")
 
-    pooled_spa = avg_pool(e, cfg.p_spa)
-    buffer = mem.buffer.push(pooled_spa)
-
     tem_vec = flatten(avg_pool(e, cfg.p_tem))
+    buffer = mem.buffer.push(avg_pool(e, cfg.p_spa), tem_vec)
     temporal = single_step_merge(
         mem.temporal, WeightedPoint(tem_vec, 1.0, e.frame_index), cfg.n_tem
     )
@@ -153,12 +177,7 @@ def write_frame(mem: StarMemory, e: FeatureMap) -> StarMemory:
     else:
         abstract = sa_update(mem.abstract, [abs_vec])
 
-    live = {f.frame_index for f in buffer.entries}
-    cache = {k: v for k, v in mem.pooled_cache.items() if k in live}
-    cache[e.frame_index] = tem_vec
-    retrieved = retrieve_update(
-        buffer, temporal, cfg.n_ret, pool_side=cfg.p_tem, cache=cache
-    )
+    retrieved = retrieve_update(buffer, temporal, cfg.n_ret)
 
     epoch = mem.epoch + 1
     return replace(
@@ -169,45 +188,28 @@ def write_frame(mem: StarMemory, e: FeatureMap) -> StarMemory:
         retrieved=retrieved,
         epoch=epoch,
         store_epochs=(epoch, epoch, epoch, epoch),
-        pooled_cache=cache,
     )
 
 
 def retrieve_update(
-    buffer: FeatureBuffer,
-    temporal: ClusterSet,
-    n_ret: int,
-    pool_side: int | None = None,
-    cache: dict | None = None,
+    buffer: FeatureBuffer, temporal: ClusterSet, n_ret: int
 ) -> tuple[RetrievedFrame, ...]:
     """Select buffer frames nearest to the heaviest cluster centroids.
 
     Clusters are ranked by descending weight (ties: lower newest frame
-    index); each selected centroid pulls the nearest distinct buffer frame,
-    comparing against the buffer entries pooled down to the temporal side.
+    index); each selected centroid pulls the distinct buffer frame whose key
+    is nearest to it.
     """
     if len(buffer) == 0:
         raise ValueError("retrieval requires a non-empty buffer")
     if temporal.count == 0:
         return ()
-    if pool_side is None:
-        dim = buffer.entries[0].dim
-        pool_side = int(round((temporal.vectors.shape[1] / dim) ** 0.5))
 
     n_sel = min(n_ret, temporal.count, len(buffer))
     rank_order = np.lexsort((temporal.newest, -temporal.weights))[:n_sel]
 
     frames = buffer.entries
-    if cache is None:
-        cache = {}
-    vecs = []
-    for f in frames:
-        v = cache.get(f.frame_index)
-        if v is None:
-            v = flatten(avg_pool(f, pool_side))
-            cache[f.frame_index] = v
-        vecs.append(v)
-    frame_mat = np.stack(vecs)
+    frame_mat = np.stack(buffer.keys)
     frame_idx = np.array([f.frame_index for f in frames], dtype=np.int64)
 
     d2 = pairwise_sq_dists(temporal.vectors[rank_order], frame_mat)
@@ -246,34 +248,35 @@ def token_count(mem: StarMemory) -> int:
 
 
 def snapshot(mem: StarMemory) -> MemorySnapshot:
-    """Immutable consistent copy of all four stores as token matrices."""
+    """Immutable consistent copy of all four stores as one token matrix."""
     if mem.epoch == 0:
         raise EmptyMemoryError("no frames written yet")
     if len(set(mem.store_epochs)) != 1 or mem.store_epochs[0] != mem.epoch:
         raise InvariantError(f"torn store epochs: {mem.store_epochs}")
     cfg = mem.config
-    dt = np.float32
-
-    spa = [f.values.reshape(cfg.p_spa ** 2, cfg.dim) for f in mem.spatial]
-    spatial = (
-        np.concatenate(spa).astype(dt)
-        if spa else np.zeros((0, cfg.dim), dtype=dt)
+    stores = (
+        [f.values for f in mem.spatial],
+        [mem.temporal.vectors],
+        [mem.abstract.tokens],
+        [r.frame.values for r in mem.retrieved],
     )
-    temporal = mem.temporal.vectors.reshape(-1, cfg.dim).astype(dt)
-    abstract = mem.abstract.tokens.reshape(-1, cfg.dim).astype(dt)
-    ret = [r.frame.values.reshape(cfg.p_spa ** 2, cfg.dim) for r in mem.retrieved]
-    retrieved = (
-        np.concatenate(ret).astype(dt)
-        if ret else np.zeros((0, cfg.dim), dtype=dt)
-    )
-
-    snap = MemorySnapshot(
+    counts = tuple(sum(a.size for a in store) // cfg.dim for store in stores)
+    if sum(counts) > cfg.max_size:
+        raise InvariantError(
+            f"token count {sum(counts)} exceeds budget {cfg.max_size}"
+        )
+    tokens = np.empty((sum(counts), cfg.dim), dtype=np.float32)
+    start = 0
+    for a in itertools.chain.from_iterable(stores):
+        n = a.size // cfg.dim
+        tokens[start:start + n] = a.reshape(n, cfg.dim)
+        start += n
+    tokens.flags.writeable = False
+    return MemorySnapshot(
         epoch=mem.epoch,
         config=cfg,
-        spatial=spatial,
-        temporal=temporal,
-        abstract=abstract,
-        retrieved=retrieved,
+        tokens=tokens,
+        store_counts=counts,
         store_epochs=mem.store_epochs,
         temporal_weights=mem.temporal.weights.copy(),
         temporal_newest=mem.temporal.newest.copy(),
@@ -281,8 +284,3 @@ def snapshot(mem: StarMemory) -> MemorySnapshot:
         retrieved_cluster_indices=tuple(r.cluster_index for r in mem.retrieved),
         retrieved_cluster_ranks=tuple(r.cluster_rank for r in mem.retrieved),
     )
-    if snap.token_count > cfg.max_size:
-        raise InvariantError(
-            f"token count {snap.token_count} exceeds budget {cfg.max_size}"
-        )
-    return snap

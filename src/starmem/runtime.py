@@ -3,7 +3,8 @@
 The writer builds a complete new memory version per frame and publishes it by
 swapping a single reference; readers snapshot whatever version is currently
 published. Published versions are never mutated, so a snapshot is always
-internally consistent without blocking the writer.
+internally consistent without blocking the writer. Concurrent writes are
+serialised, so each builds on the version the previous one published.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ from .memory import (
 log = logging.getLogger("starmem")
 
 
-class StreamOrderError(ValueError):
-    """Source emitted non-increasing timestamps."""
-
-
 @dataclass
 class StreamSource:
     """A finite or unbounded timed sequence of feature maps.
@@ -53,7 +50,6 @@ class StreamSource:
 @dataclass
 class RuntimeMetrics:
     write_latencies_s: list[float] = field(default_factory=list)
-    snapshot_latencies_s: list[float] = field(default_factory=list)
     tokens_per_epoch: list[int] = field(default_factory=list)
     epochs_completed: int = 0
     nonconvergence_count: int = 0
@@ -67,8 +63,9 @@ class RuntimeMetrics:
 class MemoryHandle:
     """Shared handle around the single published memory version.
 
-    write() must only be called from one writer; latest()/read_snapshot()
-    are safe from any thread and never block the writer.
+    write() holds a lock from reading the current version to publishing the
+    next, so writes from several threads are applied one at a time;
+    latest() and query_snapshot() take no lock and never block the writer.
     """
 
     def __init__(self, config: MemoryConfig):
@@ -79,8 +76,8 @@ class MemoryHandle:
         return self._current
 
     def write(self, e: FeatureMap) -> StarMemory:
-        new = write_frame(self._current, e)
         with self._lock:
+            new = write_frame(self._current, e)
             self._current = new
         return new
 
@@ -102,18 +99,13 @@ def run_frame_handler(
     """Write every source frame in order, optionally pacing by timestamps.
 
     Real-time mode sleeps so each frame lands no earlier than its timestamp
-    offset from the first frame; fast mode ignores pacing entirely.
+    offset from the first frame; fast mode ignores pacing entirely. A frame
+    out of order stops the run with write_frame's FrameOrderError.
     """
     m = metrics if metrics is not None else RuntimeMetrics()
     start = time.perf_counter()
     first_ts = None
-    last_ts = None
     for frame in source:
-        if last_ts is not None and frame.timestamp_s <= last_ts:
-            raise StreamOrderError(
-                f"timestamp {frame.timestamp_s} not after {last_ts}"
-            )
-        last_ts = frame.timestamp_s
         if realtime:
             if first_ts is None:
                 first_ts = frame.timestamp_s

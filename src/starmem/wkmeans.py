@@ -241,10 +241,3 @@ def _lloyd_from_centroids(vecs, weights, centroids):
     sse = float(np.dot(weights, own))
     return centroids, assign, sse, converged, iters
 
-
-def weighted_sse(cluster_vectors: np.ndarray, members: np.ndarray,
-                 member_weights: np.ndarray, assign: np.ndarray) -> float:
-    """Weighted within-cluster sum of squared distances."""
-    diff = members - cluster_vectors[assign]
-    own = np.einsum("ij,ij->i", diff, diff)
-    return float(np.dot(member_weights, own))

@@ -132,5 +132,15 @@ class TestEval:
         path.write_bytes(raw)
         assert main(["eval", str(path), str(script_path)]) == 2
 
+    def test_eval_bad_sidecar_exit_2(self, tmp_path, script_path, config_path):
+        out = tmp_path / "out"
+        main(["run", "--config", str(config_path),
+              "--input", str(script_path), "--output", str(out)])
+        sidecar = out / "snapshot.bin.json"
+        meta = json.loads(sidecar.read_text())
+        meta["config"]["bogus_key"] = 1
+        sidecar.write_text(json.dumps(meta))
+        assert main(["eval", str(out / "snapshot.bin"), str(script_path)]) == 2
+
     def test_eval_missing_snapshot_exit_2(self, tmp_path, script_path):
         assert main(["eval", str(tmp_path / "nope.bin"), str(script_path)]) == 2

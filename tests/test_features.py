@@ -60,12 +60,6 @@ class TestAvgPool:
         with pytest.raises(ConfigError):
             avg_pool(e, 4)
 
-    def test_adaptive_mode_covers_non_divisible(self, rng):
-        e = make_frame(0, side=6, dim=2, rng=rng)
-        out = avg_pool(e, 4, adaptive=True)
-        assert out.side == 4
-        assert np.all(np.isfinite(out.values))
-
     def test_upsampling_rejected(self, rng):
         e = make_frame(0, side=4, dim=1, rng=rng)
         with pytest.raises(ConfigError):
@@ -154,7 +148,9 @@ class TestMemoryConfig:
         dict(p_tem=16, p_spa=8),
         dict(dim=0),
         dict(n_buff=-1),
-        dict(distance="cosine"),
+        pytest.param(dict(dim="abc"), id="dim_str"),
+        pytest.param(dict(n_abs=2.0), id="n_abs_float"),
+        pytest.param(dict(n_spa=True), id="n_spa_bool"),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):

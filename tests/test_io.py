@@ -69,6 +69,14 @@ class TestStreamFile:
         with pytest.raises(FormatError):
             read_stream_file(path)
 
+    def test_non_increasing_timestamps(self, tmp_path):
+        frames = [make_frame(i, side=4, dim=3, timestamp=t)
+                  for i, t in enumerate([0.0, 1.0, 1.0])]
+        path = tmp_path / "s.fvsf"
+        write_stream_file(path, StreamSource(frames=frames, fps=1.0))
+        with pytest.raises(FormatError):
+            read_stream_file(path)
+
 
 class TestSnapshotFile:
     def _snap(self):
@@ -112,6 +120,21 @@ class TestSnapshotFile:
         path = tmp_path / "snap.bin"
         write_snapshot(path, self._snap())
         Path(str(path) + ".json").unlink()
+        with pytest.raises(FormatError):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("spoil", [
+        # A sidecar written before MemoryConfig lost its distance field.
+        lambda meta: meta["config"].update(distance="sqeuclidean"),
+        lambda meta: meta.pop("store_counts"),
+    ], ids=["unknown_config_key", "no_store_counts"])
+    def test_bad_sidecar(self, tmp_path, spoil):
+        path = tmp_path / "snap.bin"
+        write_snapshot(path, self._snap())
+        sidecar = Path(str(path) + ".json")
+        meta = json.loads(sidecar.read_text())
+        spoil(meta)
+        sidecar.write_text(json.dumps(meta))
         with pytest.raises(FormatError):
             read_snapshot(path)
 

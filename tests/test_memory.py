@@ -58,6 +58,11 @@ class TestWriteFrame:
         with pytest.raises(FrameOrderError):
             write_frame(mem, make_frame(3, dim=3, rng=rng))
 
+    def test_equal_timestamp_rejected(self, rng):
+        mem = run_stream(small_config(), [make_frame(5, dim=3, rng=rng)])
+        with pytest.raises(FrameOrderError):
+            write_frame(mem, make_frame(6, dim=3, rng=rng, timestamp=5.0))
+
     def test_dim_mismatch_rejected(self, rng):
         mem = StarMemory.new(small_config(dim=3))
         with pytest.raises(ValueError):

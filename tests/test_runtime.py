@@ -1,3 +1,5 @@
+import itertools
+import sys
 import threading
 import time
 
@@ -6,8 +8,8 @@ import pytest
 
 from starmem import (
     EmptyMemoryError,
+    FrameOrderError,
     MemoryHandle,
-    StreamOrderError,
     StreamSource,
     query_snapshot,
     run_frame_handler,
@@ -46,8 +48,38 @@ class TestFrameHandler:
             make_frame(2, dim=3, timestamp=1.0),
         ]
         handle = MemoryHandle(small_config())
-        with pytest.raises(StreamOrderError):
+        with pytest.raises(FrameOrderError):
             run_frame_handler(StreamSource(frames=frames, fps=1.0), handle)
+        assert handle.latest().epoch == 2
+
+    def test_concurrent_writers_are_serialised(self):
+        handle = MemoryHandle(small_config())
+        indices = itertools.count()
+        returned = []
+
+        def writer():
+            for _ in range(100):
+                i = next(indices)
+                try:
+                    handle.write(make_frame(i, dim=3))
+                except FrameOrderError:
+                    continue  # another writer published a later frame first
+                returned.append(i)
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        mem = handle.latest()
+        assert mem.epoch == len(returned)
+        assert mem.temporal.total_weight == len(returned)
 
     @pytest.mark.slow
     def test_realtime_pacing(self):
