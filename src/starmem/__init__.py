@@ -6,7 +6,7 @@ attention-maintained abstract synopsis, and centroid-nearest retrieved
 frames), with consistent anytime snapshots for a downstream consumer.
 """
 
-from .features import ConfigError, FeatureMap, MemoryConfig, avg_pool, flatten, sq_dist, unflatten
+from .features import ConfigError, FeatureMap, MemoryConfig, avg_pool, flatten, unflatten
 from .memory import (
     EmptyMemoryError,
     FeatureBuffer,
@@ -32,7 +32,7 @@ from .synth import (
     evaluate_compression,
     generate_stream,
 )
-from .wkmeans import ClusterSet, WeightedPoint, single_step_merge, wkmeans_update
+from .wkmeans import ClusterSet, single_step_merge, wkmeans_update
 
 __version__ = "0.1.0"
 
@@ -41,10 +41,9 @@ __all__ = [
     "EmptyWindowError", "Event", "EventScript", "FeatureBuffer", "FeatureMap",
     "FidelityReport", "FrameOrderError", "InvariantError", "MemoryConfig",
     "MemoryHandle", "MemorySnapshot", "RetrievedFrame", "RuntimeMetrics",
-    "StarMemory", "StreamSource", "WeightedPoint",
-    "WindowSpec", "apply_window", "avg_pool", "evaluate_compression",
-    "flatten", "generate_stream", "query_snapshot", "retrieve_update",
-    "run_frame_handler", "sa_init", "sa_update", "single_step_merge",
-    "snapshot", "sq_dist", "token_count", "unflatten", "wkmeans_update",
-    "write_frame",
+    "StarMemory", "StreamSource", "WindowSpec", "apply_window", "avg_pool",
+    "evaluate_compression", "flatten", "generate_stream", "query_snapshot",
+    "retrieve_update", "run_frame_handler", "sa_init", "sa_update",
+    "single_step_merge", "snapshot", "token_count", "unflatten",
+    "wkmeans_update", "write_frame",
 ]

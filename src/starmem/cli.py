@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .features import ConfigError, MemoryConfig
@@ -123,7 +123,7 @@ def cmd_eval(args) -> int:
     script = load_event_script(args.script)
     labels = generate_stream(script).labels
     report = evaluate_compression(snap, script, labels)
-    print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(report), indent=2, sort_keys=True))
     return EXIT_OK
 
 

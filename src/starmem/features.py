@@ -90,16 +90,6 @@ def unflatten(
     )
 
 
-def sq_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean distance between equal-length vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.dot(d, d))
-
-
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """All-pairs squared Euclidean distances, shape (len(x), len(y))."""
     x = np.asarray(x, dtype=np.float64)

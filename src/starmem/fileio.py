@@ -177,14 +177,15 @@ def read_snapshot(path) -> MemorySnapshot:
 # -- run configs -------------------------------------------------------------
 
 _CONFIG_KEYS = {f.name for f in fields(MemoryConfig)}
-_RUN_KEYS = {"mode", "breakpoint_s", "half_width_s", "realtime", "seed"}
+_WINDOW_KEYS = [f.name for f in fields(WindowSpec)]
+_RUN_KEYS = {*_WINDOW_KEYS, "realtime", "seed"}
 
 
 def load_run_config(path) -> tuple[MemoryConfig, dict]:
     """Parse a JSON run config; unknown keys are rejected.
 
-    Returns the memory config and a dict of runtime options (mode,
-    breakpoint_s, half_width_s, realtime, seed).
+    Returns the memory config and a dict of the runtime options the file
+    sets (mode, breakpoint_s, half_width_s, realtime, seed).
     """
     path = Path(path)
     try:
@@ -198,18 +199,12 @@ def load_run_config(path) -> tuple[MemoryConfig, dict]:
         raise FormatError(f"{path}: unknown config keys {sorted(unknown)}")
     cfg_kwargs = {k: v for k, v in data.items() if k in _CONFIG_KEYS}
     run = {k: v for k, v in data.items() if k in _RUN_KEYS}
-    run.setdefault("mode", "global")
-    run.setdefault("half_width_s", 15.0)
-    run.setdefault("realtime", False)
     return MemoryConfig(**cfg_kwargs), run
 
 
 def window_from_run_options(run: dict) -> WindowSpec:
-    return WindowSpec(
-        mode=run.get("mode", "global"),
-        breakpoint_s=run.get("breakpoint_s"),
-        half_width_s=run.get("half_width_s", 15.0),
-    )
+    """The window the run options set; WindowSpec's defaults fill the rest."""
+    return WindowSpec(**{k: run[k] for k in _WINDOW_KEYS if k in run})
 
 
 # -- event script files ------------------------------------------------------

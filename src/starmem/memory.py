@@ -21,7 +21,7 @@ import numpy as np
 
 from .features import FeatureMap, MemoryConfig, avg_pool, flatten, pairwise_sq_dists
 from .semantic import AbstractMemory, sa_init, sa_update
-from .wkmeans import ClusterSet, WeightedPoint, single_step_merge
+from .wkmeans import ClusterSet, single_step_merge
 
 
 class FrameOrderError(ValueError):
@@ -134,7 +134,7 @@ class StarMemory:
         return StarMemory(
             config=config,
             buffer=FeatureBuffer((), (), config.n_buff),
-            temporal=ClusterSet.empty(config.n_tem),
+            temporal=ClusterSet.empty(),
             abstract=None,
             retrieved=(),
             epoch=0,
@@ -167,9 +167,7 @@ def write_frame(mem: StarMemory, e: FeatureMap) -> StarMemory:
 
     tem_vec = flatten(avg_pool(e, cfg.p_tem))
     buffer = mem.buffer.push(avg_pool(e, cfg.p_spa), tem_vec)
-    temporal = single_step_merge(
-        mem.temporal, WeightedPoint(tem_vec, 1.0, e.frame_index), cfg.n_tem
-    )
+    temporal = single_step_merge(mem.temporal, tem_vec, e.frame_index, cfg.n_tem)
 
     abs_vec = flatten(avg_pool(e, cfg.p_abs))
     if mem.abstract is None:
@@ -198,7 +196,8 @@ def retrieve_update(
 
     Clusters are ranked by descending weight (ties: lower newest frame
     index); each selected centroid pulls the distinct buffer frame whose key
-    is nearest to it.
+    is nearest to it. Distance ties go to the newest frame: the buffer is
+    newest first, and argmin returns the first of equal minima.
     """
     if len(buffer) == 0:
         raise ValueError("retrieval requires a non-empty buffer")
@@ -206,30 +205,22 @@ def retrieve_update(
         return ()
 
     n_sel = min(n_ret, temporal.count, len(buffer))
-    rank_order = np.lexsort((temporal.newest, -temporal.weights))[:n_sel]
-
-    frames = buffer.entries
-    frame_mat = np.stack(buffer.keys)
-    frame_idx = np.array([f.frame_index for f in frames], dtype=np.int64)
-
-    d2 = pairwise_sq_dists(temporal.vectors[rank_order], frame_mat)
-    taken: set[int] = set()
+    # The store is in ascending newest order, so a stable sort breaks weight
+    # ties toward the lower newest frame index.
+    rank_order = np.argsort(-temporal.weights, kind="stable")[:n_sel]
+    d2 = pairwise_sq_dists(temporal.vectors[rank_order], np.stack(buffer.keys))
     out = []
     for rank, cluster_i in enumerate(rank_order):
-        # Nearest first; distance ties go to the newest frame.
-        order = np.lexsort((-frame_idx, d2[rank]))
-        for pos in order:
-            if int(pos) not in taken:
-                taken.add(int(pos))
-                out.append(
-                    RetrievedFrame(
-                        frame=frames[pos],
-                        cluster_rank=rank,
-                        cluster_index=int(cluster_i),
-                        distance=float(d2[rank, pos]),
-                    )
-                )
-                break
+        pos = int(d2[rank].argmin())
+        out.append(
+            RetrievedFrame(
+                frame=buffer.entries[pos],
+                cluster_rank=rank,
+                cluster_index=int(cluster_i),
+                distance=float(d2[rank, pos]),
+            )
+        )
+        d2[:, pos] = np.inf  # each frame is retrieved at most once
     return tuple(out)
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .features import FeatureMap, MemoryConfig
 from .memory import (
-    EmptyMemoryError,
     MemorySnapshot,
     StarMemory,
     snapshot,
@@ -84,10 +83,7 @@ class MemoryHandle:
 
 def query_snapshot(handle: MemoryHandle) -> MemorySnapshot:
     """Consistent snapshot of the latest published epoch."""
-    mem = handle.latest()
-    if mem.epoch == 0:
-        raise EmptyMemoryError("no frames written yet")
-    return snapshot(mem)
+    return snapshot(handle.latest())
 
 
 def run_frame_handler(

@@ -148,16 +148,6 @@ class FidelityReport:
     n_clusters: int
     n_retrieved: int
 
-    def as_dict(self) -> dict:
-        return {
-            "event_coverage": self.event_coverage,
-            "weight_l1_error": self.weight_l1_error,
-            "retrieval_purity": self.retrieval_purity,
-            "n_events": self.n_events,
-            "n_clusters": self.n_clusters,
-            "n_retrieved": self.n_retrieved,
-        }
-
 
 def _pooled_event_means(script: EventScript, side: int) -> np.ndarray:
     out = []

@@ -21,7 +21,6 @@ from starmem import (
     MemoryHandle,
     StarMemory,
     StreamSource,
-    WeightedPoint,
     WindowSpec,
     apply_window,
     evaluate_compression,
@@ -128,13 +127,10 @@ def test_wkmeans_oracle_equivalence():
         n = int(rng.integers(3, 13))
         dim = int(rng.integers(1, 5))
         k = int(rng.integers(1, min(4, n) + 1))
-        pts = [
-            WeightedPoint(rng.normal(size=dim), float(rng.integers(1, 5)), i)
-            for i in range(n)
-        ]
-        out = wkmeans_update(ClusterSet.empty(k), pts, k)
-        vecs = np.stack([p.vector for p in pts])
-        weights = np.array([p.weight for p in pts])
+        draws = [(rng.normal(size=dim), float(rng.integers(1, 5))) for _ in range(n)]
+        vecs = np.array([v for v, _ in draws])
+        weights = np.array([w for _, w in draws])
+        out = wkmeans_update(ClusterSet.empty(), vecs, weights, np.arange(n), k)
         if out.count < len(vecs):
             d = ((vecs[:, None, :] - out.vectors[None]) ** 2).sum(axis=2)
             ours = float((weights * d.min(axis=1)).sum())

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starmem import ConfigError, FeatureMap, MemoryConfig, avg_pool, flatten, sq_dist, unflatten
+from starmem import ConfigError, FeatureMap, MemoryConfig, avg_pool, flatten, unflatten
+from starmem.features import pairwise_sq_dists
 
 from conftest import make_frame
 
@@ -102,22 +103,25 @@ class TestFlatten:
 
 
 class TestDistance:
+    """pairwise_sq_dists, the distance kernel of every store."""
+
     def test_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
-        assert sq_dist(x, x) == 0.0
+        x = np.array([[1.0, -2.0, 3.0]])
+        assert pairwise_sq_dists(x, x)[0, 0] == 0.0
 
     def test_3_4_5(self):
-        assert sq_dist([0.0, 0.0], [3.0, 4.0]) == pytest.approx(25.0)
+        d2 = pairwise_sq_dists([[0.0, 0.0]], [[3.0, 4.0], [0.0, 0.0]])
+        np.testing.assert_allclose(d2, [[25.0, 0.0]], rtol=1e-12)
 
     def test_matches_direct_summation(self, rng):
-        a = rng.normal(size=32)
-        b = rng.normal(size=32)
-        expected = sum((x - y) ** 2 for x, y in zip(a, b))
-        assert sq_dist(a, b) == pytest.approx(expected, rel=1e-12)
+        a = rng.normal(size=(5, 32))
+        b = rng.normal(size=(7, 32))
+        expected = [[sum((x - y) ** 2 for x, y in zip(u, v)) for v in b] for u in a]
+        np.testing.assert_allclose(pairwise_sq_dists(a, b), expected, rtol=1e-9)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            sq_dist([1.0], [1.0, 2.0])
+            pairwise_sq_dists([[1.0]], [[1.0, 2.0]])
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=16),
@@ -126,9 +130,11 @@ class TestDistance:
     @settings(max_examples=50, deadline=None)
     def test_symmetric_and_nonnegative(self, xs, seed):
         a = np.array(xs)
-        b = np.random.default_rng(seed).uniform(-1e6, 1e6, size=len(xs))
-        assert sq_dist(a, b) >= 0.0
-        assert sq_dist(a, b) == sq_dist(b, a)
+        rows = np.random.default_rng(seed).uniform(-1e6, 1e6, size=(3, len(xs)))
+        x = np.vstack([a, rows])
+        d2 = pairwise_sq_dists(x, x)
+        assert (d2 >= 0.0).all()
+        np.testing.assert_array_equal(d2, d2.T)
 
 
 class TestMemoryConfig:

@@ -11,11 +11,12 @@ from starmem.fileio import (
     load_run_config,
     read_snapshot,
     read_stream_file,
+    window_from_run_options,
     write_snapshot,
     write_stream_file,
 )
 from starmem.runtime import StreamSource
-from starmem.synth import generate_stream
+from starmem.synth import WindowSpec, generate_stream
 
 from conftest import make_frame, small_config
 
@@ -145,7 +146,7 @@ class TestRunConfig:
         path.write_text(json.dumps({"dim": 8, "n_tem": 5, "n_abs": 5}))
         cfg, run = load_run_config(path)
         assert cfg.dim == 8 and cfg.n_tem == 5
-        assert run["mode"] == "global"
+        assert window_from_run_options(run) == WindowSpec()
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "c.json"

@@ -128,6 +128,16 @@ class TestRetrieval:
         )
         assert selected == [0, 1, 2]
 
+    def test_distance_ties_go_to_newest_frames(self):
+        # Identical frames: every key is at distance exactly 0 from every
+        # centroid, so each rank takes the newest frame not yet retrieved.
+        cfg = small_config(n_tem=4, n_ret=3)
+        vals = np.full((8, 8, 3), 1.5, dtype=np.float32)
+        mem = run_stream(cfg, [make_frame(i, dim=3, values=vals) for i in range(20)])
+        assert [r.frame.frame_index for r in mem.retrieved] == [19, 18, 17]
+        assert [r.cluster_rank for r in mem.retrieved] == [0, 1, 2]
+        assert all(r.distance == 0.0 for r in mem.retrieved)
+
     def test_retrieved_frames_exist_in_buffer(self, rng):
         cfg = small_config(n_buff=6)
         mem = StarMemory.new(cfg)
