@@ -113,16 +113,14 @@ def _write_metrics(out: Path, metrics: RuntimeMetrics) -> None:
         ):
             w.writerow([i, f"{lat:.6f}", tok])
         w.writerow([])
-        w.writerow(["median_write_latency_s",
-                    f"{metrics.median_write_latency_s():.6f}",
-                    metrics.nonconvergence_count])
+        w.writerow(["nonconverged_epochs", metrics.nonconvergence_count])
+        w.writerow(["median_write_latency_s", f"{metrics.median_write_latency_s():.6f}"])
 
 
 def cmd_eval(args) -> int:
     snap = read_snapshot(args.snapshot)
     script = load_event_script(args.script)
-    labels = generate_stream(script).labels
-    report = evaluate_compression(snap, script, labels)
+    report = evaluate_compression(snap, script, script.labels())
     print(json.dumps(asdict(report), indent=2, sort_keys=True))
     return EXIT_OK
 

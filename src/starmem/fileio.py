@@ -152,6 +152,8 @@ def read_snapshot(path) -> MemorySnapshot:
         raise FormatError(f"{sidecar_path}: sidecar must be a JSON object")
     if meta.get("epoch") != epoch or meta.get("token_count") != rows:
         raise FormatError(f"{path}: sidecar does not match binary header")
+    if meta.get("store_epochs") != [epoch] * 4:
+        raise FormatError(f"{sidecar_path}: store_epochs must be [{epoch}] * 4")
     try:
         cfg = MemoryConfig(**meta["config"])
         counts = tuple(meta["store_counts"][name] for name in STORES)
@@ -160,7 +162,6 @@ def read_snapshot(path) -> MemorySnapshot:
             config=cfg,
             tokens=matrix,
             store_counts=counts,
-            store_epochs=tuple(meta["store_epochs"]),
             temporal_weights=np.array(meta["temporal_weights"], dtype=np.float64),
             temporal_newest=np.array(meta["temporal_newest"], dtype=np.int64),
             retrieved_frame_indices=tuple(meta["retrieved_frame_indices"]),

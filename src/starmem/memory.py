@@ -8,8 +8,8 @@ store is the newest buffer entries; the temporal store folds that key into its
 weighted clusters; the abstract store absorbs the coarsest pooling; retrieval
 re-selects the buffer frames whose keys are nearest to the heaviest cluster
 centroids. Frames must arrive with strictly increasing frame_index and
-timestamp_s. Every store carries the epoch that produced it, and snapshots
-expose those stamps so torn reads are detectable.
+timestamp_s. A write builds every store of the next version at once, so
+each store's epoch is the version's epoch: store_epochs is derived from it.
 """
 
 from __future__ import annotations
@@ -82,12 +82,15 @@ class MemorySnapshot:
     config: MemoryConfig
     tokens: np.ndarray
     store_counts: tuple[int, int, int, int]
-    store_epochs: tuple[int, int, int, int]
     temporal_weights: np.ndarray
     temporal_newest: np.ndarray
     retrieved_frame_indices: tuple[int, ...]
     retrieved_cluster_indices: tuple[int, ...]
     retrieved_cluster_ranks: tuple[int, ...]
+
+    @property
+    def store_epochs(self) -> tuple[int, int, int, int]:
+        return (self.epoch,) * 4
 
     @property
     def matrix(self) -> np.ndarray:
@@ -127,7 +130,6 @@ class StarMemory:
     abstract: AbstractMemory | None
     retrieved: tuple[RetrievedFrame, ...]
     epoch: int
-    store_epochs: tuple[int, int, int, int] = (0, 0, 0, 0)
 
     @staticmethod
     def new(config: MemoryConfig) -> "StarMemory":
@@ -139,6 +141,10 @@ class StarMemory:
             retrieved=(),
             epoch=0,
         )
+
+    @property
+    def store_epochs(self) -> tuple[int, int, int, int]:
+        return (self.epoch,) * 4
 
     @property
     def spatial(self) -> tuple[FeatureMap, ...]:
@@ -177,15 +183,13 @@ def write_frame(mem: StarMemory, e: FeatureMap) -> StarMemory:
 
     retrieved = retrieve_update(buffer, temporal, cfg.n_ret)
 
-    epoch = mem.epoch + 1
     return replace(
         mem,
         buffer=buffer,
         temporal=temporal,
         abstract=abstract,
         retrieved=retrieved,
-        epoch=epoch,
-        store_epochs=(epoch, epoch, epoch, epoch),
+        epoch=mem.epoch + 1,
     )
 
 
@@ -242,8 +246,6 @@ def snapshot(mem: StarMemory) -> MemorySnapshot:
     """Immutable consistent copy of all four stores as one token matrix."""
     if mem.epoch == 0:
         raise EmptyMemoryError("no frames written yet")
-    if len(set(mem.store_epochs)) != 1 or mem.store_epochs[0] != mem.epoch:
-        raise InvariantError(f"torn store epochs: {mem.store_epochs}")
     cfg = mem.config
     stores = (
         [f.values for f in mem.spatial],
@@ -268,7 +270,6 @@ def snapshot(mem: StarMemory) -> MemorySnapshot:
         config=cfg,
         tokens=tokens,
         store_counts=counts,
-        store_epochs=mem.store_epochs,
         temporal_weights=mem.temporal.weights.copy(),
         temporal_newest=mem.temporal.newest.copy(),
         retrieved_frame_indices=tuple(r.frame.frame_index for r in mem.retrieved),

@@ -1,5 +1,9 @@
 """Synthetic feature streams with ground-truth event structure, breakpoint
-windowing, and compression-fidelity evaluation."""
+windowing, and compression-fidelity evaluation.
+
+An event script alone fixes every frame's ground-truth label (its event's
+frame counts, in order), so scoring a snapshot needs the script and the
+snapshot, not the stream's frames."""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMap, avg_pool, flatten, unflatten
+from .features import FeatureMap, avg_pool, flatten, pairwise_sq_dists, unflatten
 from .memory import MemorySnapshot
 from .runtime import StreamSource
 
@@ -75,22 +79,22 @@ class EventScript:
     def frame_counts(self) -> list[int]:
         return [int(round((ev.end_s - ev.start_s) * self.fps)) for ev in self.events]
 
+    def labels(self) -> np.ndarray:
+        """Ground-truth event id of every scripted frame, by frame_index."""
+        return np.repeat(np.arange(len(self.events)), self.frame_counts())
+
 
 def generate_stream(script: EventScript) -> StreamSource:
     """Sample a seeded stream: frames i.i.d. per event as mean plus Gaussian
     noise, labeled with their ground-truth event id."""
     rng = np.random.default_rng([script.seed, 0])
     frames: list[FeatureMap] = []
-    labels: list[int] = []
     shape = (script.side, script.side, script.dim)
-    index = 0
-    for ev_id, ev in enumerate(script.events):
+    for ev, count in zip(script.events, script.frame_counts()):
         mean = ev.mean.reshape(shape).astype(np.float32)
-        for _ in range(script.frame_counts()[ev_id]):
-            noise = (
-                ev.std * rng.standard_normal(shape) if ev.std > 0
-                else 0.0
-            )
+        for _ in range(count):
+            noise = ev.std * rng.standard_normal(shape) if ev.std > 0 else 0.0
+            index = len(frames)
             frames.append(
                 FeatureMap(
                     frame_index=index,
@@ -100,11 +104,7 @@ def generate_stream(script: EventScript) -> StreamSource:
                     values=(mean + noise).astype(np.float32),
                 )
             )
-            labels.append(ev_id)
-            index += 1
-    return StreamSource(
-        frames=frames, fps=script.fps, labels=np.array(labels, dtype=np.int64)
-    )
+    return StreamSource(frames=frames, fps=script.fps, labels=script.labels())
 
 
 @dataclass(frozen=True)
@@ -164,71 +164,53 @@ def evaluate_compression(
 ) -> FidelityReport:
     """Score how faithfully the memory condensed the scripted events.
 
-    Coverage: an event counts as covered when some temporal centroid lies
-    within 3 std/sqrt(n) of its pooled mean (per-channel noise scale of a
-    sample mean). Weight fidelity: L1 gap between the cluster-weight and
-    event-duration distributions under the best event matching (exhaustive
-    for up to 8 events, greedy beyond). Purity: fraction of retrieved frames
-    whose true event matches their selecting cluster's nearest event.
+    Each temporal cluster is matched to the event whose pooled mean is
+    nearest its centroid. Coverage: an event counts as covered when some
+    centroid lies within 3 std/sqrt(n) of its pooled mean (per-channel noise
+    scale of a sample mean). Weight fidelity: L1 gap between the per-event
+    cluster-weight and event-duration distributions under that match.
+    Purity: fraction of retrieved frames whose true event is their selecting
+    cluster's matched event. labels maps frame_index to event id
+    (script.labels()); a retrieved frame or cluster index out of range
+    raises ValueError.
     """
-    counts = script.frame_counts()
-    if len(labels) != sum(counts):
+    counts = np.array(script.frame_counts(), dtype=np.float64)
+    labels = np.asarray(labels)
+    if len(labels) != counts.sum():
         raise ValueError(
-            f"label count {len(labels)} != scripted frame count {sum(counts)}"
+            f"label count {len(labels)} != scripted frame count {int(counts.sum())}"
         )
-    cfg = snap.config
-    means = _pooled_event_means(script, cfg.p_tem)        # (E, p_tem^2 * D)
-    cents = snap.temporal.astype(np.float64).reshape(len(snap.temporal_weights), -1)
-    d = np.sqrt(
-        np.maximum(
-            0.0,
-            (means ** 2).sum(1)[:, None] + (cents ** 2).sum(1)[None, :]
-            - 2 * means @ cents.T,
+    frames = np.array(snap.retrieved_frame_indices, dtype=np.int64)
+    clusters = np.array(snap.retrieved_cluster_indices, dtype=np.int64)
+    n_clusters = len(snap.temporal_weights)
+    paired = (len(frames) == len(clusters)
+              and np.all((frames >= 0) & (frames < len(labels)))
+              and np.all((clusters >= 0) & (clusters < n_clusters)))
+    if not paired:
+        raise ValueError(
+            f"retrieved frames {frames.tolist()} / clusters {clusters.tolist()} "
+            f"are not pairs in [0, {len(labels)}) x [0, {n_clusters})"
         )
-    )
-    dim = means.shape[1]
-    covered = 0
-    for e, ev in enumerate(script.events):
-        tol = 3.0 * ev.std * math.sqrt(dim / max(counts[e], 1))
-        tol += 1e-9 * (1.0 + float(np.linalg.norm(means[e])))
-        if d[e].min() <= tol:
-            covered += 1
-    coverage = covered / len(script.events)
 
-    # Per-event cluster weight mass, grouping clusters by nearest event mean.
+    means = _pooled_event_means(script, snap.config.p_tem)   # (E, p_tem^2 * D)
+    cents = snap.temporal.reshape(n_clusters, -1)
+    d = np.sqrt(pairwise_sq_dists(means, cents))               # (E, clusters)
+    stds = np.array([ev.std for ev in script.events])
+    tol = 3.0 * stds * np.sqrt(means.shape[1] / np.maximum(counts, 1))
+    tol += 1e-9 * (1.0 + np.linalg.norm(means, axis=1))
+    coverage = float(np.mean(d.min(axis=1) <= tol))
+
     nearest_event = d.argmin(axis=0)
-    mass = np.zeros(len(script.events))
-    for c, e in enumerate(nearest_event):
-        mass[e] += snap.temporal_weights[c]
-    mass_n = mass / mass.sum()
-    dur = np.array(counts, dtype=np.float64)
-    dur_n = dur / dur.sum()
-    n_ev = len(script.events)
-    if n_ev <= 8:
-        weight_l1 = min(
-            float(np.abs(mass_n[list(perm)] - dur_n).sum())
-            for perm in itertools.permutations(range(n_ev))
-        )
-    else:
-        weight_l1 = float(
-            np.abs(np.sort(mass_n)[::-1] - np.sort(dur_n)[::-1]).sum()
-        )
-
-    if snap.retrieved_frame_indices:
-        hits = 0
-        for fi, ci in zip(snap.retrieved_frame_indices, snap.retrieved_cluster_indices):
-            cluster_event = int(nearest_event[ci])
-            if int(labels[fi]) == cluster_event:
-                hits += 1
-        purity = hits / len(snap.retrieved_frame_indices)
-    else:
-        purity = 0.0
+    mass = np.bincount(nearest_event, snap.temporal_weights, minlength=len(counts))
+    weight_l1 = float(np.abs(mass / mass.sum() - counts / counts.sum()).sum())
+    hits = labels[frames] == nearest_event[clusters]
+    purity = float(hits.mean()) if len(hits) else 0.0
 
     return FidelityReport(
         event_coverage=coverage,
         weight_l1_error=weight_l1,
         retrieval_purity=purity,
-        n_events=n_ev,
-        n_clusters=len(snap.temporal_weights),
-        n_retrieved=len(snap.retrieved_frame_indices),
+        n_events=len(counts),
+        n_clusters=n_clusters,
+        n_retrieved=len(frames),
     )

@@ -230,6 +230,11 @@ def test_anytime_consistency_stress():
             s = snapshot(mem)
             if len(set(s.store_epochs)) != 1:
                 torn.append(s.store_epochs)
+            # Frame i has frame_index i and weight 1: one version holds
+            # exactly epoch frames, the newest epoch - 1.
+            if (s.temporal_weights.sum() != s.epoch
+                    or s.temporal_newest[-1] != s.epoch - 1):
+                torn.append((s.epoch, s.temporal_weights.sum(), s.temporal_newest[-1]))
             count += 1
 
     def writer():

@@ -95,6 +95,14 @@ class TestRun:
         assert (out1 / "snapshot.bin").read_bytes() == (out2 / "snapshot.bin").read_bytes()
         assert (out1 / "snapshot.bin.json").read_bytes() == (out2 / "snapshot.bin.json").read_bytes()
 
+    def test_metrics_summary_rows_are_labelled(self, tmp_path, script_path, config_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path),
+                     "--input", str(script_path), "--output", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "metrics.csv").read_text().splitlines()]
+        assert rows[-2][0] == "nonconverged_epochs" and int(rows[-2][1]) >= 0
+        assert rows[-1][0] == "median_write_latency_s" and len(rows[-1]) == 2
+
     def test_malformed_config_exit_2(self, tmp_path, script_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"dim": 4, "bogus_key": 1}))
@@ -139,6 +147,45 @@ class TestEval:
         sidecar = out / "snapshot.bin.json"
         meta = json.loads(sidecar.read_text())
         meta["config"]["bogus_key"] = 1
+        sidecar.write_text(json.dumps(meta))
+        assert main(["eval", str(out / "snapshot.bin"), str(script_path)]) == 2
+
+    def test_eval_reads_only_the_script(self, tmp_path, script_path, config_path,
+                                        monkeypatch):
+        out = tmp_path / "out"
+        main(["run", "--config", str(config_path),
+              "--input", str(script_path), "--output", str(out)])
+
+        def no_frames(script):
+            raise AssertionError("eval synthesised the stream")
+        monkeypatch.setattr("starmem.cli.generate_stream", no_frames)
+        assert main(["eval", str(out / "snapshot.bin"), str(script_path)]) == 0
+
+    def test_eval_snapshot_of_longer_stream_exit_2(self, tmp_path, script_path,
+                                                   config_path):
+        longer = tmp_path / "longer.json"
+        longer.write_text(json.dumps({
+            "fps": 1.0, "side": 8, "dim": 4, "seed": 3,
+            "events": [{"start_s": 0, "end_s": 160, "mean": 0.0, "std": 0.5}],
+        }))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path),
+                     "--input", str(longer), "--output", str(out)]) == 0
+        assert max(json.loads((out / "snapshot.bin.json").read_text())
+                   ["retrieved_frame_indices"]) >= 50
+        assert main(["eval", str(out / "snapshot.bin"), str(script_path)]) == 2
+
+    @pytest.mark.parametrize("key", ["retrieved_frame_indices",
+                                     "retrieved_cluster_indices"])
+    @pytest.mark.parametrize("bad", [-1, 10_000])
+    def test_eval_index_out_of_range_exit_2(self, tmp_path, script_path, config_path,
+                                            key, bad):
+        out = tmp_path / "out"
+        main(["run", "--config", str(config_path),
+              "--input", str(script_path), "--output", str(out)])
+        sidecar = out / "snapshot.bin.json"
+        meta = json.loads(sidecar.read_text())
+        meta[key][0] = bad
         sidecar.write_text(json.dumps(meta))
         assert main(["eval", str(out / "snapshot.bin"), str(script_path)]) == 2
 

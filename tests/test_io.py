@@ -128,7 +128,9 @@ class TestSnapshotFile:
         # A sidecar written before MemoryConfig lost its distance field.
         lambda meta: meta["config"].update(distance="sqeuclidean"),
         lambda meta: meta.pop("store_counts"),
-    ], ids=["unknown_config_key", "no_store_counts"])
+        # Every store of a snapshot is at the snapshot's epoch.
+        lambda meta: meta.update(store_epochs=[meta["epoch"] - 1] + [meta["epoch"]] * 3),
+    ], ids=["unknown_config_key", "no_store_counts", "torn_store_epochs"])
     def test_bad_sidecar(self, tmp_path, spoil):
         path = tmp_path / "snap.bin"
         write_snapshot(path, self._snap())

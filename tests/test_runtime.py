@@ -109,6 +109,11 @@ class TestQuerySnapshot:
                     continue
                 if len(set(s.store_epochs)) != 1:
                     torn.append(s.store_epochs)
+                # Frame i has frame_index i and weight 1, so a snapshot of one
+                # version holds exactly epoch frames, the newest epoch - 1.
+                if (s.temporal_weights.sum() != s.epoch
+                        or s.temporal_newest[-1] != s.epoch - 1):
+                    torn.append((s.epoch, s.temporal_weights.sum(), s.temporal_newest[-1]))
                 if s.epoch < last:
                     monotonic_violations.append((last, s.epoch))
                 last = s.epoch
@@ -122,6 +127,20 @@ class TestQuerySnapshot:
         assert torn == []
         assert monotonic_violations == []
         assert query_snapshot(handle).epoch == 300
+
+    def test_readers_take_no_lock(self):
+        handle = MemoryHandle(small_config())
+        run_frame_handler(make_source(3), handle)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(query_snapshot(handle)), daemon=True
+        )
+        with handle._lock:  # a writer mid-write
+            reader.start()
+            reader.join(timeout=5.0)
+            finished = not reader.is_alive()
+        assert finished
+        assert got[0].epoch == 3
 
     def test_readers_do_not_stall_writer(self):
         cfg = small_config()

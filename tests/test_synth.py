@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+from pathlib import Path
+
 from starmem import (
     EmptyWindowError,
     Event,
@@ -14,6 +17,9 @@ from starmem import (
     snapshot,
     write_frame,
 )
+from starmem.fileio import load_event_script
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def constant_script(levels, durations, std=0.0, fps=1.0, side=8, dim=2, seed=0):
@@ -76,6 +82,19 @@ class TestGenerate:
         assert len(list(src)) == 100
         counts = np.bincount(src.labels)
         assert counts.tolist() == [50, 30, 20]
+
+    def test_script_labels_match_generated_stream(self):
+        scripts = [load_event_script(CONFIGS_DIR / "three_events.json")]
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            scripts.append(constant_script(
+                rng.normal(size=n), rng.uniform(0.3, 7.0, size=n),
+                std=float(rng.uniform(0, 2)), fps=float(rng.uniform(0.5, 4.0)),
+                side=2, dim=1, seed=int(rng.integers(100)),
+            ))
+        for s in scripts:
+            np.testing.assert_array_equal(s.labels(), generate_stream(s).labels)
 
     def test_timestamps_follow_fps(self):
         s = constant_script([0.0], [2], fps=4.0)
@@ -166,6 +185,19 @@ class TestEvaluate:
         # centroids equal the pooled event means exactly
         levels = sorted(np.unique(mem.temporal.vectors[:, 0]))
         assert levels == [-5.0, 0.0, 10.0]
+
+    def test_swapped_weights_score_their_gap(self):
+        # 70 and 30 frames, with the store's weights scaled to 30 and 70: the
+        # nearest-event match scores |0.3 - 0.7| + |0.7 - 0.3|.
+        s = constant_script([0.0, 10.0], [70, 30])
+        snap, labels = run_script(s)
+        w = snap.temporal_weights
+        first = snap.temporal.reshape(len(w), -1)[:, 0] == 0.0
+        assert w[first].sum() == 70 and w[~first].sum() == 30
+        swapped = replace(snap, temporal_weights=np.where(first, w * 30 / 70, w * 70 / 30))
+        report = evaluate_compression(swapped, s, labels)
+        assert report.weight_l1_error == pytest.approx(0.8, abs=1e-12)
+        assert report.event_coverage == report.retrieval_purity == 1.0
 
     def test_random_labels_score_lower(self):
         s = constant_script([0.0, 10.0, -5.0], [50, 30, 20])
