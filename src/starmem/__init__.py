@@ -14,6 +14,7 @@ from .memory import (
     InvariantError,
     MemorySnapshot,
     RetrievedFrame,
+    StaleVersionError,
     StarMemory,
     retrieve_update,
     snapshot,
@@ -41,7 +42,8 @@ __all__ = [
     "EmptyWindowError", "Event", "EventScript", "FeatureBuffer", "FeatureMap",
     "FidelityReport", "FrameOrderError", "InvariantError", "MemoryConfig",
     "MemoryHandle", "MemorySnapshot", "RetrievedFrame", "RuntimeMetrics",
-    "StarMemory", "StreamSource", "WindowSpec", "apply_window", "avg_pool",
+    "StaleVersionError", "StarMemory", "StreamSource", "WindowSpec",
+    "apply_window", "avg_pool",
     "evaluate_compression", "flatten", "generate_stream", "query_snapshot",
     "retrieve_update", "run_frame_handler", "sa_init", "sa_update",
     "single_step_merge", "snapshot", "token_count", "unflatten",

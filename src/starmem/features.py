@@ -90,14 +90,20 @@ def unflatten(
     )
 
 
-def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """All-pairs squared Euclidean distances, shape (len(x), len(y))."""
+def pairwise_sq_dists(
+    x: np.ndarray, y: np.ndarray, yy: np.ndarray | None = None
+) -> np.ndarray:
+    """All-pairs squared Euclidean distances, shape (len(x), len(y)).
+
+    yy, if given, holds the squared norms of y's rows, computed as here.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"dim mismatch: {x.shape[1]} vs {y.shape[1]}")
     xx = np.einsum("ij,ij->i", x, x)
-    yy = np.einsum("ij,ij->i", y, y)
+    if yy is None:
+        yy = np.einsum("ij,ij->i", y, y)
     d2 = xx[:, None] + yy[None, :] - 2.0 * (x @ y.T)
     np.maximum(d2, 0.0, out=d2)
     return d2

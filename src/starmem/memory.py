@@ -2,20 +2,27 @@
 clusters, abstract synopsis, and retrieved frames, with budget-bounded
 snapshots.
 
-Per written frame, in order: the buffer gets the frame pooled to the spatial
-side (FIFO, bounded), keyed by its pooling to the temporal side; the spatial
-store is the newest buffer entries; the temporal store folds that key into its
-weighted clusters; the abstract store absorbs the coarsest pooling; retrieval
-re-selects the buffer frames whose keys are nearest to the heaviest cluster
-centroids. Frames must arrive with strictly increasing frame_index and
-timestamp_s. A write builds every store of the next version at once, so
-each store's epoch is the version's epoch: store_epochs is derived from it.
+Per written frame, in order: the temporal store folds the frame's pooling to
+the temporal side into its weighted clusters; the abstract store absorbs the
+coarsest pooling; the buffer gets the frame pooled to the spatial side (FIFO,
+bounded), keyed by its temporal pooling; the spatial store is the newest
+buffer entries; retrieval re-selects the buffer frames whose keys are nearest
+to the heaviest cluster centroids. Frames must arrive with strictly
+increasing frame_index and timestamp_s, with the configured dim and a side
+that every pooled side divides; a frame that fails a check changes nothing.
+A write builds every store of the next version at once, so each store's
+epoch is the version's epoch: store_epochs is derived from it.
+
+Versions are immutable to readers, but the retrieval keys are not part of a
+version: the versions written from one StarMemory.new share a key ring that
+each write overwrites in place. Only the newest version of a lineage can be
+written from (StaleVersionError otherwise); snapshots never read keys.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,23 +43,67 @@ class InvariantError(RuntimeError):
     """Internal invariant breach; indicates a bug, not bad input."""
 
 
+class StaleVersionError(ValueError):
+    """Write or retrieval from a version that a later write has superseded."""
+
+
+class _KeyRing:
+    """The retrieval keys of one writer lineage and their squared norms.
+
+    keys is an (n_buff, p_tem^2 * D) float64 ring, allocated with np.empty on
+    the first push so that rows never written cost no memory; norms[s] is the
+    squared norm of keys[s]. tip counts the pushes so far: only the buffer
+    with that many pushes has entries that match the rows.
+    """
+
+    def __init__(self, capacity: int):
+        self.keys: np.ndarray | None = None
+        self.norms = np.empty(capacity)
+        self.tip = 0
+
+
 @dataclass(frozen=True)
 class FeatureBuffer:
     """Bounded FIFO of pooled frames, newest first.
 
-    keys[i] is the retrieval key of entries[i]: the same frame pooled to the
-    temporal side and flattened, as the temporal store sees it.
+    The retrieval key of entries[i], the same frame pooled to the temporal
+    side and flattened as the temporal store sees it, is row slots()[i] of
+    ring.keys. pushes counts the frames pushed in this lineage, so entries[0]
+    sits in row (pushes - 1) % capacity.
     """
 
     entries: tuple[FeatureMap, ...]
-    keys: tuple[np.ndarray, ...]
     capacity: int
+    ring: _KeyRing = field(repr=False)
+    pushes: int
+
+    def check_tip(self) -> None:
+        if self.pushes != self.ring.tip:
+            raise StaleVersionError(
+                f"version after {self.pushes} frames was superseded by a later "
+                f"write ({self.ring.tip} frames); write from the newest version"
+            )
 
     def push(self, e: FeatureMap, key: np.ndarray) -> "FeatureBuffer":
-        keep = self.capacity - 1
+        """The buffer with e newest; overwrites the oldest ring row."""
+        self.check_tip()
+        ring = self.ring
+        if ring.keys is None:
+            ring.keys = np.empty((self.capacity, key.size))
+        slot = self.pushes % self.capacity
+        ring.keys[slot] = key
+        # The row reduction pairwise_sq_dists applies to a key matrix; einsum
+        # sums a lone row in another order once it is longer than 8192.
+        pair = np.broadcast_to(ring.keys[slot], (2, key.size))
+        ring.norms[slot] = np.einsum("ij,ij->i", pair, pair)[0]
+        ring.tip = self.pushes + 1
         return FeatureBuffer(
-            (e,) + self.entries[:keep], (key,) + self.keys[:keep], self.capacity
+            (e,) + self.entries[: self.capacity - 1], self.capacity, ring, ring.tip
         )
+
+    def slots(self) -> np.ndarray:
+        """Ring row of each entry, newest first."""
+        return (self.pushes - 1 - np.arange(len(self.entries))) % self.capacity
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -74,8 +125,10 @@ STORES = ("spatial", "temporal", "abstract", "retrieved")
 class MemorySnapshot:
     """Immutable, consistent read of all four stores at one epoch.
 
-    tokens is one read-only (token_count, D) float32 matrix holding the
-    stores' rows in STORES order; store_counts gives each store's row count.
+    tokens is one (token_count, D) float32 matrix holding the stores' rows in
+    STORES order; store_counts gives each store's row count. tokens,
+    temporal_weights and temporal_newest are made read-only, since every
+    reader of a published version shares one snapshot.
     """
 
     epoch: int
@@ -87,6 +140,10 @@ class MemorySnapshot:
     retrieved_frame_indices: tuple[int, ...]
     retrieved_cluster_indices: tuple[int, ...]
     retrieved_cluster_ranks: tuple[int, ...]
+
+    def __post_init__(self):
+        for a in (self.tokens, self.temporal_weights, self.temporal_newest):
+            a.flags.writeable = False
 
     @property
     def store_epochs(self) -> tuple[int, int, int, int]:
@@ -135,7 +192,7 @@ class StarMemory:
     def new(config: MemoryConfig) -> "StarMemory":
         return StarMemory(
             config=config,
-            buffer=FeatureBuffer((), (), config.n_buff),
+            buffer=FeatureBuffer((), config.n_buff, _KeyRing(config.n_buff), 0),
             temporal=ClusterSet.empty(),
             abstract=None,
             retrieved=(),
@@ -156,9 +213,13 @@ def write_frame(mem: StarMemory, e: FeatureMap) -> StarMemory:
     """Fold one frame into every store and advance the epoch.
 
     The frame's frame_index and timestamp_s must both be greater than the
-    previous frame's, or FrameOrderError is raised.
+    previous frame's, or FrameOrderError is raised. Its dim must be the
+    configured one and every pooled side must divide its side (ValueError).
+    mem must be the newest version of its lineage (StaleVersionError). A
+    rejected frame leaves the memory and its key ring unchanged.
     """
     cfg = mem.config
+    mem.buffer.check_tip()
     if len(mem.buffer):
         last = mem.buffer.entries[0]
         if e.frame_index <= last.frame_index or e.timestamp_s <= last.timestamp_s:
@@ -168,11 +229,13 @@ def write_frame(mem: StarMemory, e: FeatureMap) -> StarMemory:
             )
     if e.dim != cfg.dim:
         raise ValueError(f"frame dim {e.dim} != configured dim {cfg.dim}")
-    if e.side < cfg.p_spa:
-        raise ValueError(f"frame side {e.side} < p_spa {cfg.p_spa}")
+    # Also rejects a side below p_spa.
+    for p in (cfg.p_spa, cfg.p_tem, cfg.p_abs):
+        if e.side % p:
+            raise ValueError(f"frame side {e.side} is not a multiple of pooled side {p}")
 
     tem_vec = flatten(avg_pool(e, cfg.p_tem))
-    buffer = mem.buffer.push(avg_pool(e, cfg.p_spa), tem_vec)
+    spa = avg_pool(e, cfg.p_spa)
     temporal = single_step_merge(mem.temporal, tem_vec, e.frame_index, cfg.n_tem)
 
     abs_vec = flatten(avg_pool(e, cfg.p_abs))
@@ -181,6 +244,8 @@ def write_frame(mem: StarMemory, e: FeatureMap) -> StarMemory:
     else:
         abstract = sa_update(mem.abstract, [abs_vec])
 
+    # The ring is written only after every step that could reject the frame.
+    buffer = mem.buffer.push(spa, tem_vec)
     retrieved = retrieve_update(buffer, temporal, cfg.n_ret)
 
     return replace(
@@ -200,11 +265,13 @@ def retrieve_update(
 
     Clusters are ranked by descending weight (ties: lower newest frame
     index); each selected centroid pulls the distinct buffer frame whose key
-    is nearest to it. Distance ties go to the newest frame: the buffer is
-    newest first, and argmin returns the first of equal minima.
+    is nearest to it. Distance ties go to the newest frame: the distance
+    columns are gathered newest first, and argmin returns the first of equal
+    minima. buffer must be its lineage's newest (StaleVersionError).
     """
     if len(buffer) == 0:
         raise ValueError("retrieval requires a non-empty buffer")
+    buffer.check_tip()
     if temporal.count == 0:
         return ()
 
@@ -212,7 +279,10 @@ def retrieve_update(
     # The store is in ascending newest order, so a stable sort breaks weight
     # ties toward the lower newest frame index.
     rank_order = np.argsort(-temporal.weights, kind="stable")[:n_sel]
-    d2 = pairwise_sq_dists(temporal.vectors[rank_order], np.stack(buffer.keys))
+    n, ring = len(buffer), buffer.ring
+    d2 = pairwise_sq_dists(
+        temporal.vectors[rank_order], ring.keys[:n], ring.norms[:n]
+    )[:, buffer.slots()]
     out = []
     for rank, cluster_i in enumerate(rank_order):
         pos = int(d2[rank].argmin())
@@ -264,7 +334,6 @@ def snapshot(mem: StarMemory) -> MemorySnapshot:
         n = a.size // cfg.dim
         tokens[start:start + n] = a.reshape(n, cfg.dim)
         start += n
-    tokens.flags.writeable = False
     return MemorySnapshot(
         epoch=mem.epoch,
         config=cfg,

@@ -1,10 +1,12 @@
 """Two-role runtime: one frame-handler writer, any number of anytime readers.
 
-The writer builds a complete new memory version per frame and publishes it by
-swapping a single reference; readers snapshot whatever version is currently
-published. Published versions are never mutated, so a snapshot is always
-internally consistent without blocking the writer. Concurrent writes are
-serialised, so each builds on the version the previous one published.
+The writer builds a complete new memory version per frame, builds its
+snapshot, and publishes the two together by swapping a single reference
+(read-copy-update); readers return the snapshot currently published, so they
+do no numpy work and never block the writer. Published versions and
+snapshots are never mutated, so a snapshot is always internally consistent.
+Concurrent writes are serialised, so each builds on the version the previous
+one published.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from .features import FeatureMap, MemoryConfig
 from .memory import (
+    EmptyMemoryError,
     MemorySnapshot,
     StarMemory,
     snapshot,
@@ -63,27 +66,36 @@ class MemoryHandle:
     """Shared handle around the single published memory version.
 
     write() holds a lock from reading the current version to publishing the
-    next, so writes from several threads are applied one at a time;
-    latest() and query_snapshot() take no lock and never block the writer.
+    next with its snapshot, so writes from several threads are applied one
+    at a time; latest() and query_snapshot() take no lock and never block
+    the writer.
     """
 
     def __init__(self, config: MemoryConfig):
         self._lock = threading.Lock()
-        self._current = StarMemory.new(config)
+        # (version, its snapshot), swapped as one reference; None before the
+        # first write.
+        self._published: tuple[StarMemory, MemorySnapshot | None] = (
+            StarMemory.new(config), None
+        )
 
     def latest(self) -> StarMemory:
-        return self._current
+        return self._published[0]
 
     def write(self, e: FeatureMap) -> StarMemory:
         with self._lock:
-            new = write_frame(self._current, e)
-            self._current = new
+            new = write_frame(self._published[0], e)
+            self._published = (new, snapshot(new))
         return new
 
 
 def query_snapshot(handle: MemoryHandle) -> MemorySnapshot:
-    """Consistent snapshot of the latest published epoch."""
-    return snapshot(handle.latest())
+    """The read-only snapshot published with the latest epoch; every call
+    between two writes returns the same object."""
+    snap = handle._published[1]
+    if snap is None:
+        raise EmptyMemoryError("no frames written yet")
+    return snap
 
 
 def run_frame_handler(

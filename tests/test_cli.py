@@ -117,6 +117,14 @@ class TestRun:
                      "--mode", "breakpoint", "--breakpoint", "9000",
                      "--half-width", "2"]) == 2
 
+    def test_indivisible_frame_side_exit_2(self, tmp_path, script_path, config_path):
+        script = json.loads(script_path.read_text())
+        script["side"] = 6  # p_spa 4 does not divide it
+        script_path.write_text(json.dumps(script))
+        assert main(["run", "--config", str(config_path),
+                     "--input", str(script_path),
+                     "--output", str(tmp_path / "out")]) == 2
+
 
 class TestEval:
     def test_eval_matches_in_process_result(self, tmp_path, script_path, config_path, capsys):

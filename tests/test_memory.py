@@ -5,12 +5,17 @@ from starmem import (
     EmptyMemoryError,
     FrameOrderError,
     MemoryConfig,
+    StaleVersionError,
     StarMemory,
+    avg_pool,
+    flatten,
     retrieve_update,
     snapshot,
     token_count,
     write_frame,
 )
+from starmem.features import pairwise_sq_dists
+from starmem.fileio import write_snapshot
 
 from conftest import make_frame, small_config
 
@@ -72,6 +77,58 @@ class TestWriteFrame:
         mem = StarMemory.new(small_config(p_spa=8, p_tem=4))
         with pytest.raises(ValueError):
             write_frame(mem, make_frame(0, side=4, dim=3, rng=rng))
+
+    @pytest.mark.parametrize("kwargs, side", [
+        (dict(p_spa=8, p_tem=4, p_abs=1), 12),      # the default sides; 8 fails
+        (dict(p_spa=4, p_tem=3, p_abs=1), 8),       # only p_tem fails
+        (dict(p_spa=3, p_tem=3, p_abs=2), 9),       # only p_abs fails
+    ], ids=["p_spa", "p_tem", "p_abs"])
+    def test_indivisible_side_rejected(self, rng, kwargs, side):
+        mem = StarMemory.new(small_config(**kwargs))
+        with pytest.raises(ValueError, match="not a multiple"):
+            write_frame(mem, make_frame(0, side=side, dim=3, rng=rng))
+        assert mem.epoch == 0 and len(mem.buffer) == 0
+
+    def test_rejected_frames_leave_no_trace(self, rng, tmp_path):
+        # The bad frames arrive after the ring has wrapped once; the run
+        # wraps the 10-slot ring four times in all.
+        cfg = small_config()
+        frames = [make_frame(i, dim=3, rng=rng) for i in range(40)]
+        bad = [
+            make_frame(14, dim=3, rng=rng),          # order: repeats frame 14
+            make_frame(15, dim=5, rng=rng),          # dim
+            make_frame(15, side=2, dim=3, rng=rng),  # side below p_spa
+            make_frame(15, side=6, dim=3, rng=rng),  # side not a multiple of p_spa
+        ]
+        mem = run_stream(cfg, frames[:15])
+        for f in bad:
+            with pytest.raises(ValueError):
+                write_frame(mem, f)
+            assert mem.epoch == 15 and mem.buffer.ring.tip == 15
+        for f in frames[15:]:
+            mem = write_frame(mem, f)
+        write_snapshot(tmp_path / "dirty.bin", snapshot(mem))
+        write_snapshot(tmp_path / "clean.bin", snapshot(run_stream(cfg, frames)))
+        for suffix in ("", ".json"):
+            dirty = (tmp_path / f"dirty.bin{suffix}").read_bytes()
+            assert dirty == (tmp_path / f"clean.bin{suffix}").read_bytes()
+
+    def test_superseded_version_rejected(self, rng, tmp_path):
+        cfg = small_config()
+        frames = [make_frame(i, dim=3, rng=rng) for i in range(25)]
+        old = run_stream(cfg, frames[:12])
+        tip = write_frame(old, frames[12])
+        with pytest.raises(StaleVersionError):
+            write_frame(old, make_frame(13, dim=3, rng=rng))
+        with pytest.raises(StaleVersionError):
+            retrieve_update(old.buffer, old.temporal, cfg.n_ret)
+        for f in frames[13:]:
+            tip = write_frame(tip, f)
+        write_snapshot(tmp_path / "tip.bin", snapshot(tip))
+        write_snapshot(tmp_path / "clean.bin", snapshot(run_stream(cfg, frames)))
+        for suffix in ("", ".json"):
+            got = (tmp_path / f"tip.bin{suffix}").read_bytes()
+            assert got == (tmp_path / f"clean.bin{suffix}").read_bytes()
 
     def test_identical_frames_fill_buffer_and_conserve_weight(self):
         cfg = MemoryConfig(dim=2, n_buff=40)
@@ -137,6 +194,60 @@ class TestRetrieval:
         assert [r.frame.frame_index for r in mem.retrieved] == [19, 18, 17]
         assert [r.cluster_rank for r in mem.retrieved] == [0, 1, 2]
         assert all(r.distance == 0.0 for r in mem.retrieved)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ring_matches_stacked_reference(self, seed):
+        # Reference: the keys stacked newest first, as a list of arrays,
+        # through pairwise_sq_dists and the same argmin loop. The ring
+        # computes the same formula from cached norms in slot order, so the
+        # two need not agree bitwise: OpenBLAS rounds a product differently
+        # depending on its column position when the row count is not a
+        # multiple of its tile (X @ K.T was invariant under a row
+        # permutation at 300 rows but not at 7 or 29). A pick may therefore
+        # differ only where the reference's best and runner-up distances lie
+        # within 1e-12 * (|x|^2 + |k|^2), the size of the terms that cancel.
+        rng = np.random.default_rng(seed)
+        n_buff = [7, 29][seed % 2] if seed < 8 else int(rng.integers(2, 40))
+        p_spa, p_tem = [(4, 2), (4, 4), (2, 1)][seed % 3]
+        n_tem = int(rng.integers(1, 8))
+        cfg = MemoryConfig(p_spa=p_spa, p_tem=p_tem, p_abs=1, n_buff=n_buff,
+                           n_spa=1, n_tem=n_tem, n_abs=2,
+                           n_ret=int(rng.integers(1, min(n_tem, n_buff) + 1)),
+                           dim=int(rng.integers(2, 6)))
+        # Quantised streams put many keys at exactly equal distances.
+        quantised = seed % 4 >= 2
+        mem, keys, compared, ties = StarMemory.new(cfg), [], 0, 0
+        for i in range(3 * n_buff + 10):
+            shape = (p_spa, p_spa, cfg.dim)
+            if quantised:
+                values = rng.integers(-1, 2, size=shape)
+            else:
+                values = rng.normal(size=shape) + 3.0 * (i // 15 % 3)
+            frame = make_frame(i, side=p_spa, dim=cfg.dim, values=values)
+            mem = write_frame(mem, frame)
+            keys = [flatten(avg_pool(frame, p_tem))] + keys[: n_buff - 1]
+
+            k = np.stack(keys)
+            order = np.argsort(-mem.temporal.weights, kind="stable")
+            x = mem.temporal.vectors[order[: len(mem.retrieved)]]
+            d2 = pairwise_sq_dists(x, k)
+            scale = np.einsum("ij,ij->i", x, x)[:, None] + np.einsum("ij,ij->i", k, k)
+            for rank, got in enumerate(mem.retrieved):
+                assert (got.cluster_rank, got.cluster_index) == (rank, int(order[rank]))
+                row = d2[rank]
+                pos = int(row.argmin())
+                tol = 1e-12 * scale[rank, pos]
+                if got.frame is not mem.buffer.entries[pos]:
+                    runner_up = np.partition(row, 1)[1]
+                    assert runner_up - row[pos] <= tol
+                    break  # later ranks depend on which frame this one took
+                assert abs(got.distance - row[pos]) <= tol
+                compared += 1
+                ties += int(np.sum(row == row[pos]) > 1)
+                d2[:, pos] = np.inf
+        assert compared >= 3 * n_buff
+        if quantised:
+            assert ties > 0
 
     def test_retrieved_frames_exist_in_buffer(self, rng):
         cfg = small_config(n_buff=6)

@@ -13,6 +13,7 @@ from starmem import (
     StreamSource,
     query_snapshot,
     run_frame_handler,
+    snapshot,
 )
 
 from conftest import make_frame, small_config
@@ -94,6 +95,31 @@ class TestQuerySnapshot:
         handle = MemoryHandle(small_config())
         run_frame_handler(make_source(7), handle)
         assert query_snapshot(handle).epoch == 7
+
+    def test_snapshot_arrays_are_read_only(self):
+        handle = MemoryHandle(small_config())
+        run_frame_handler(make_source(5), handle)
+        s = query_snapshot(handle)
+        for a in (s.tokens, s.temporal_weights, s.temporal_newest):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_one_snapshot_per_version(self):
+        handle = MemoryHandle(small_config())
+        for f in make_source(30):
+            handle.write(f)
+            s = query_snapshot(handle)
+            assert query_snapshot(handle) is s
+            mem = handle.latest()
+            assert s.epoch == mem.epoch
+            fresh = snapshot(mem)
+            assert s.tokens.tobytes() == fresh.tokens.tobytes()
+            assert s.temporal_weights.tobytes() == fresh.temporal_weights.tobytes()
+            assert s.temporal_newest.tobytes() == fresh.temporal_newest.tobytes()
+            assert (s.store_counts, s.retrieved_frame_indices,
+                    s.retrieved_cluster_indices, s.retrieved_cluster_ranks) == (
+                fresh.store_counts, fresh.retrieved_frame_indices,
+                fresh.retrieved_cluster_indices, fresh.retrieved_cluster_ranks)
 
     def test_concurrent_reads_are_consistent(self):
         handle = MemoryHandle(small_config())
