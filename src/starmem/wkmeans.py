@@ -8,7 +8,11 @@ canonical order, ascending newest frame index.
 
 The streaming path folds one new frame of weight 1, newer than every cluster,
 by merging the cheapest (Ward-cost) pair and refining with weighted Lloyd
-iterations. The batch path seeds from the heaviest points and, on small
+iterations. It takes those decisions from the small Gram matrix of the
+clusters and the frame, each only when it wins by more than a rounding bound,
+and computes just the clusters that result; otherwise it runs the same
+decisions on the vectors. Both ways give the same output bits. The batch
+path seeds from the heaviest points and, on small
 instances, searches all seed subsets so the result is as good as
 exhaustive-seeding Lloyd.
 """
@@ -141,6 +145,14 @@ def single_step_merge(state: ClusterSet, vector, newest: int, k: int) -> Cluster
     frame keeps canonical order. Appends while under capacity. At capacity,
     merges the pair with the lowest Ward cost w1*w2/(w1+w2) * d(v1, v2) into
     its weighted average, then refines with weighted Lloyd to convergence.
+
+    The Ward pair and every Lloyd assignment are taken from the Gram matrix
+    of the k clusters and the frame, and only the resulting clusters are
+    computed, each as a weighted mean of its members (see _gram_merge). When
+    a decision's margin is within rounding, or a cluster would be empty, the
+    merge runs the full Ward+Lloyd path on the vectors instead
+    (_ward_lloyd_merge). Either way the output, converged flag included, is
+    bitwise what the full path gives.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -151,14 +163,22 @@ def single_step_merge(state: ClusterSet, vector, newest: int, k: int) -> Cluster
         raise ValueError(f"frame {newest} is not newer than every cluster")
     if state.count and vector.size != state.vectors.shape[1]:
         raise ValueError("incoming dimensionality does not match cluster state")
-    # An empty state's vectors have shape (0, 0).
-    vecs = np.concatenate([state.vectors.reshape(-1, vector.size), vector[None]])
     weights = np.append(state.weights, 1.0)
     newest_all = np.append(state.newest, np.int64(newest))
-    n = len(weights)
-    if n <= k:
-        return ClusterSet(vectors=vecs, weights=weights, newest=newest_all)
+    if len(weights) > k:
+        merged = _gram_merge(state.vectors, vector, weights, newest_all)
+        if merged is None:
+            vecs = np.concatenate([state.vectors, vector[None]])
+            merged = _ward_lloyd_merge(vecs, weights, newest_all)
+        return merged
+    # An empty state's vectors have shape (0, 0).
+    vecs = np.concatenate([state.vectors.reshape(-1, vector.size), vector[None]])
+    return ClusterSet(vectors=vecs, weights=weights, newest=newest_all)
 
+
+def _ward_lloyd_merge(vecs, weights, newest) -> ClusterSet:
+    """Merge the cheapest Ward pair of the rows of vecs, then run Lloyd on them."""
+    n = len(weights)
     d2 = pairwise_sq_dists(vecs, vecs)
     ward = (weights[:, None] * weights[None, :] / (weights[:, None] + weights[None, :])) * d2
     iu = np.triu_indices(n, 1)
@@ -169,7 +189,133 @@ def single_step_merge(state: ClusterSet, vector, newest: int, k: int) -> Cluster
     merged = vecs[i] + (weights[j] / (weights[i] + weights[j])) * (vecs[j] - vecs[i])
     seeds = np.concatenate([[merged], np.delete(vecs, [i, j], axis=0)])
     centroids, assign, converged = _lloyd(vecs, weights, seeds)
-    return _build_result(vecs, weights, newest_all, assign, centroids, converged)
+    return _build_result(vecs, weights, newest, assign, centroids, converged)
+
+
+# Unit roundoff of float64 (round to nearest).
+_U = np.finfo(np.float64).eps / 2
+
+
+def _gamma(m: int) -> float:
+    """gamma_m = m*u / (1 - m*u): the relative error bound of m rounded operations.
+
+    A dot product of length m, summed in any order, is within
+    gamma_m * |x|.|y| <= gamma_m * ||x|| ||y|| of the exact one (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, section 3.1).
+    """
+    return m * _U / (1.0 - m * _U)
+
+
+def _certified_argmin(values: np.ndarray, slack: np.ndarray):
+    """Row-wise argmin of values, or None unless every row's minimum is clear.
+
+    Clear means the minimum plus its slack is below every other entry minus
+    that entry's slack. Then any values within slack of these, computed in
+    any rounding, have the same argmin, and no tie rule is ever consulted.
+    """
+    rows = np.arange(len(values))
+    best = values.argmin(axis=1)
+    hi = values[rows, best] + slack[rows, best]
+    lo = values - slack
+    lo[rows, best] = np.inf
+    if not np.all(hi < lo.min(axis=1)):   # also False on NaN
+        return None
+    return best
+
+
+def _gram_merge(V, v, weights, newest):
+    """The merge's decisions from the Gram matrix of X = [V; v], then its output.
+
+    V holds the k clusters and v the new frame; n = k + 1 rows in all. A
+    centroid is a coefficient row b over the rows of X, so its squared
+    distance to row i is G_ii - 2 (G b)_i + b G b^T with G = X X^T, and each
+    decision costs (n, n) arithmetic instead of passes over (n, dim) arrays.
+    Returns None when a decision is within rounding or a cluster would be
+    empty; _ward_lloyd_merge then decides on the vectors.
+
+    Rounding bound (see _gamma). Every squared distance either path computes,
+    here from G or in pairwise_sq_dists from the vectors, is within
+    gamma_m * (||x|| + ||c||)^2 of the exact distance between the vectors it
+    was given, with m = dim + 2n + 8 covering the length-dim dot products,
+    the two length-n coefficient sums and the few operations after. The
+    vectors path rounds the centroids it forms (the merged seed, each
+    weighted mean), and here the coefficients are rounded; both stay within
+    eta = 4 * gamma_{n+6} * max ||x|| of the exact weighted combination,
+    which moves a squared distance by at most 2 r eta. With
+    r = ||x|| + sum_m |b_m| ||x_m|| + eta, the two paths' values for one
+    entry differ by at most 2 r (gamma_m r + eta); for a Ward cost
+    f * d(x_i, x_j), by 2 f gamma_m (||x_i|| + ||x_j||)^2, the product's own
+    rounding fitting in m's margin. Each decision must win by both entries'
+    slack (_certified_argmin).
+    """
+    k = len(V)
+    n = k + 1
+    g = np.empty((n, n))
+    g[:k, :k] = V @ V.T
+    g[k, :k] = g[:k, k] = V @ v
+    g[k, k] = v @ v
+    sq = g.diagonal().copy()
+    norm = np.sqrt(np.maximum(sq, 0.0))
+    gamma = _gamma(v.size + 2 * n + 8)
+
+    # The Ward pair, over the pairs i < j.
+    factor = weights[:, None] * weights[None, :] / (weights[:, None] + weights[None, :])
+    ward = factor * np.maximum(sq[:, None] + sq[None, :] - 2.0 * g, 0.0)
+    ward[np.tri(n, dtype=bool)] = np.inf
+    slack = 2.0 * gamma * factor * (norm[:, None] + norm[None, :]) ** 2
+    pick = _certified_argmin(ward.reshape(1, -1), slack.reshape(1, -1))
+    if pick is None:
+        return None
+    i, j = divmod(int(pick[0]), n)
+
+    # Seeds: the merged pair first, then every other row in order.
+    a = weights[j] / (weights[i] + weights[j])
+    coef = np.zeros((k, n))
+    coef[0, i], coef[0, j] = 1.0 - a, a
+    rows = np.arange(n)
+    coef[np.arange(1, k), rows[(rows != i) & (rows != j)]] = 1.0
+    eta = 4.0 * _gamma(n + 6) * norm.max()
+    prev, converged = None, False
+    for _ in range(MAX_LLOYD_ITERS):
+        gb = coef @ g                                # row c holds G b_c
+        d2 = sq[:, None] - 2.0 * gb.T + np.einsum("cm,cm->c", gb, coef)[None, :]
+        np.maximum(d2, 0.0, out=d2)
+        r = norm[:, None] + (coef @ norm)[None, :] + eta
+        assign = _certified_argmin(d2, 2.0 * r * (gamma * r + eta))
+        if assign is None:
+            return None
+        counts = np.bincount(assign, minlength=k)
+        if not counts.all():
+            return None
+        if prev is not None and np.array_equal(assign, prev):
+            converged = True
+            break
+        coef = np.zeros((k, n))
+        coef[assign, rows] = weights / np.bincount(assign, weights, k)[assign]
+        prev = assign
+
+    # Each cluster is a run of `members`, its rows in ascending order, so
+    # sums run in _build_result's order. Rows are in canonical order, so a
+    # cluster's newest frame is its last row's.
+    members = np.argsort(assign, kind="stable")
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    out_w = weights[members[starts]]
+    for c in np.flatnonzero(counts > 1):
+        out_w[c] = weights[members[starts[c]:ends[c]]].sum()
+    out_n = newest[members[ends - 1]]
+    order = _canonical_order(out_w, out_n)
+    out_v = np.empty((k, v.size))
+    for row, c in zip(out_v, order):
+        idx = members[starts[c]:ends[c]]
+        if len(idx) == 1:
+            # What _weighted_mean gives for one member (it turns -0.0 into 0.0).
+            np.add(V[idx[0]] if idx[0] < k else v, 0.0, out=row)
+        else:
+            vecs = V[idx] if idx[-1] < k else np.concatenate([V[idx[:-1]], v[None]])
+            row[:] = _weighted_mean(vecs, weights[idx])
+    return ClusterSet(vectors=out_v, weights=out_w[order], newest=out_n[order],
+                      converged=converged)
 
 
 def _lloyd(vecs, weights, centroids):

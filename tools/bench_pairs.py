@@ -25,15 +25,16 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """One untraced run; its result line, or None if the process failed."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict | None, str]:
+    """One untraced run: its result line, or None and why the process failed."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=1800)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
-        return None
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        last = (proc.stderr.strip().splitlines() or ["no stderr"])[-1]
+        return None, f"exit code {proc.returncode}: {last}"
+    return json.loads(proc.stdout.strip().splitlines()[-1]), ""
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -63,9 +64,11 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         pairs.append({})
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            result = run_once(trees[side], args.workload, args.seed, args.seconds)
-            if result is None or result["failed"] > 0:
-                print(f"{i:4d} {side:6s} FAILED: {result and result['failed']} failed")
+            result, error = run_once(trees[side], args.workload, args.seed, args.seconds)
+            if result is not None and result["failed"] > 0:
+                error = f"{result['failed']} failed checks"
+            if error:
+                print(f"{i:4d} {side:6s} FAILED: {error}")
                 ok = False
                 continue
             got = pairs[-1][side] = {m: result["metrics"][m]["value"] for m in better}
