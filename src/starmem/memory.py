@@ -15,8 +15,9 @@ epoch is the version's epoch: store_epochs is derived from it.
 
 Versions are immutable to readers, but the retrieval keys are not part of a
 version: the versions written from one StarMemory.new share a key ring that
-each write overwrites in place. Only the newest version of a lineage can be
-written from (StaleVersionError otherwise); snapshots never read keys.
+each write overwrites in place, along with the distance rows retrieval
+carries from one write to the next. Only the newest version of a lineage can
+be written from (StaleVersionError otherwise); snapshots never read keys.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .features import FeatureMap, MemoryConfig, avg_pool, flatten, pairwise_sq_dists
 from .semantic import AbstractMemory, sa_init, sa_update
-from .wkmeans import ClusterSet, single_step_merge
+from .wkmeans import ClusterSet, _certified_argmin, _gamma, single_step_merge
 
 
 class FrameOrderError(ValueError):
@@ -47,19 +48,34 @@ class StaleVersionError(ValueError):
     """Write or retrieval from a version that a later write has superseded."""
 
 
+@dataclass
+class _Rows:
+    """Squared distances from the centroids one retrieval selected to every
+    ring key, for the next retrieval to reuse (see _carried_picks)."""
+
+    tip: int                   # the ring's tip when d2 was last brought up to date
+    newest: list[int]          # each centroid's cluster, by its newest frame index
+    weights: list[float]       # each centroid's cluster weight
+    vectors: list[np.ndarray]  # each centroid, a (dim,) array
+    d2: np.ndarray             # (m, capacity); d2[i, s] is vectors[i]'s distance to keys[s]
+
+
 class _KeyRing:
     """The retrieval keys of one writer lineage and their squared norms.
 
     keys is an (n_buff, p_tem^2 * D) float64 ring, allocated with np.empty on
     the first push so that rows never written cost no memory; norms[s] is the
     squared norm of keys[s]. tip counts the pushes so far: only the buffer
-    with that many pushes has entries that match the rows.
+    with that many pushes has entries that match the rows. rows holds the
+    distance rows of the clusters the last retrieval selected; only
+    retrieve_update reads or writes it.
     """
 
     def __init__(self, capacity: int):
         self.keys: np.ndarray | None = None
         self.norms = np.empty(capacity)
         self.tip = 0
+        self.rows: _Rows | None = None
 
 
 @dataclass(frozen=True)
@@ -265,9 +281,13 @@ def retrieve_update(
 
     Clusters are ranked by descending weight (ties: lower newest frame
     index); each selected centroid pulls the distinct buffer frame whose key
-    is nearest to it. Distance ties go to the newest frame: the distance
-    columns are gathered newest first, and argmin returns the first of equal
-    minima. buffer must be its lineage's newest (StaleVersionError).
+    is nearest to it. Distance ties go to the newest frame. buffer must be
+    its lineage's newest (StaleVersionError).
+
+    The picks come from the distance rows carried in the key ring when every
+    rank's nearest frame wins by more than rounding (_carried_picks), and
+    from one full pass over the ring otherwise (_full_pass_picks); both give
+    the full pass's picks. Each reported distance comes from _sq_dists.
     """
     if len(buffer) == 0:
         raise ValueError("retrieval requires a non-empty buffer")
@@ -279,23 +299,120 @@ def retrieve_update(
     # The store is in ascending newest order, so a stable sort breaks weight
     # ties toward the lower newest frame index.
     rank_order = np.argsort(-temporal.weights, kind="stable")[:n_sel]
-    n, ring = len(buffer), buffer.ring
-    d2 = pairwise_sq_dists(
-        temporal.vectors[rank_order], ring.keys[:n], ring.norms[:n]
-    )[:, buffer.slots()]
-    out = []
-    for rank, cluster_i in enumerate(rank_order):
-        pos = int(d2[rank].argmin())
-        out.append(
-            RetrievedFrame(
-                frame=buffer.entries[pos],
-                cluster_rank=rank,
-                cluster_index=int(cluster_i),
-                distance=float(d2[rank, pos]),
-            )
+    x = temporal.vectors[rank_order]
+    xx = np.einsum("ij,ij->i", x, x)
+    slots = _carried_picks(buffer, x, xx, temporal.weights[rank_order],
+                           temporal.newest[rank_order])
+    if slots is None:
+        slots = _full_pass_picks(buffer, x)
+    distances = _sq_dists(buffer.ring, slots, x, xx)
+    return tuple(
+        RetrievedFrame(
+            frame=buffer.entries[(buffer.pushes - 1 - s) % buffer.capacity],
+            cluster_rank=rank,
+            cluster_index=cluster_i,
+            distance=d,
         )
+        for rank, (cluster_i, s, d) in enumerate(zip(rank_order.tolist(), slots, distances))
+    )
+
+
+def _full_pass_picks(buffer: FeatureBuffer, x: np.ndarray) -> list[int]:
+    """The ring slot each row of x retrieves, from its distances to every key.
+
+    The distance columns are gathered newest first and argmin returns the
+    first of equal minima, so ties go to the newest frame.
+    """
+    n, ring, slots = len(buffer), buffer.ring, buffer.slots()
+    d2 = pairwise_sq_dists(x, ring.keys[:n], ring.norms[:n])[:, slots]
+    picks = []
+    for row in d2:
+        pos = int(row.argmin())
+        picks.append(int(slots[pos]))
         d2[:, pos] = np.inf  # each frame is retrieved at most once
-    return tuple(out)
+    return picks
+
+
+def _sq_dists(ring: _KeyRing, slots: list[int], x: np.ndarray, xx: np.ndarray):
+    """Squared distance from each row of x, of squared norms xx, to the key
+    in the same position of slots: every reported distance comes from here."""
+    return [max(q + ring.norms.item(s) - 2.0 * float(np.dot(ring.keys[s], v)), 0.0)
+            for s, v, q in zip(slots, x, xx.tolist())]
+
+
+def _carried_picks(buffer, x, xx, weights, newest) -> list[int] | None:
+    """The full pass's picks, decided on the ring's carried rows; None when
+    some rank's pick is within rounding of another frame.
+
+    A selected cluster whose newest frame, weight and vector match a carried
+    row at most one push behind reuses that row, after computing the entry
+    of the newest slot alone. The rows of all other selected clusters are
+    computed over the ring in one product. The selected clusters' rows then
+    replace the carried ones, whether or not the picks are certified.
+
+    Rounding bound (see wkmeans._gamma). An entry xx + |k|^2 - 2 x.k computed
+    in any summation order, clamped at 0 or not, is within
+    gamma_m * (|x| + |k|)^2 of the exact distance, with m = dim + 8 covering
+    the three length-dim sums, the two additions and the rounding of the
+    bound itself. So a carried entry and the full pass's entry for one frame
+    differ by at most twice that. A row's slack is twice the bound at the
+    largest key norm in the ring, so it covers every entry of the row, and
+    each rank's pick must beat every other untaken frame by both entries'
+    slack (wkmeans._certified_argmin). A pick so certified is the full
+    pass's whatever its tie rule, and the clamp at 0 cannot tie it: the
+    runner-up's lower bound is then above 0.
+    """
+    ring, n, tip = buffer.ring, len(buffer), buffer.ring.tip
+    newest, weights = newest.tolist(), weights.tolist()
+    old, hit, src, vectors = ring.rows, [], [], []
+    carried = old is not None and tip - old.tip <= 1
+    where = dict(zip(old.newest, range(len(old.newest)))) if carried else {}
+    for r, key in enumerate(newest):
+        i = where.get(key)
+        if (i is not None and old.weights[i] == weights[r]
+                and np.array_equal(old.vectors[i], x[r])):
+            hit.append(r)
+            src.append(i)
+            vectors.append(old.vectors[i])
+        else:
+            # A copy of this row alone: keeping x, a new block on every
+            # write, raised the D=1024 writer's peak RSS by several MB.
+            vectors.append(x[r].copy())
+    if hit and hit == src and len(old.d2) == len(x):
+        d2 = old.d2  # the carried rows stay in place; missing ones are overwritten
+    else:
+        d2 = np.empty((len(x), buffer.capacity))
+        if hit:
+            d2[hit] = old.d2[src]
+    if hit and old.tip != tip:
+        # Every row's entry, missing rows' too: those are overwritten below.
+        slot = (tip - 1) % buffer.capacity
+        d2[:, slot] = xx + ring.norms[slot] - 2.0 * np.dot(x, ring.keys[slot])
+    missing = [r for r in range(len(x)) if r not in hit]
+    if missing:
+        # One product for every missing row, through np.dot: numpy's matmul
+        # holds the GIL on a matrix-vector product (one missing row), for
+        # its whole pass over the ring.
+        d2[missing, :n] = (xx[missing, None] + ring.norms[:n]
+                           - 2.0 * np.dot(x[missing], ring.keys[:n].T))
+    ring.rows = _Rows(tip, newest, weights, vectors, d2)
+
+    d2 = d2[:, :n]
+    slack = 2.0 * _gamma(x.shape[1] + 8) * (np.sqrt(xx) + np.sqrt(ring.norms[:n].max())) ** 2
+    slack = np.broadcast_to(slack[:, None], d2.shape)
+    # Distinct picks of the unmasked rows are the picks: each is untaken
+    # when its rank comes, and masking frames only removes competitors.
+    picks = _certified_argmin(d2, slack)
+    if picks is not None and len(set(picks.tolist())) == len(picks):
+        return picks.tolist()
+    d2, picks = d2.copy(), []
+    for r in range(len(x)):
+        best = _certified_argmin(d2[r:r + 1], slack[r:r + 1])
+        if best is None:
+            return None
+        picks.append(int(best[0]))
+        d2[:, picks[-1]] = np.inf  # each frame is retrieved at most once
+    return picks
 
 
 def token_count(mem: StarMemory) -> int:

@@ -218,7 +218,7 @@ def _certified_argmin(values: np.ndarray, slack: np.ndarray):
     hi = values[rows, best] + slack[rows, best]
     lo = values - slack
     lo[rows, best] = np.inf
-    if not np.all(hi < lo.min(axis=1)):   # also False on NaN
+    if not (hi < lo.min(axis=1)).all():   # also False on NaN
         return None
     return best
 
@@ -252,8 +252,9 @@ def _gram_merge(V, v, weights, newest):
     n = k + 1
     g = np.empty((n, n))
     g[:k, :k] = V @ V.T
-    g[k, :k] = g[:k, k] = V @ v
-    g[k, k] = v @ v
+    # np.dot, not @: numpy's matmul holds the GIL on a matrix-vector product.
+    g[k, :k] = g[:k, k] = np.dot(V, v)
+    g[k, k] = np.dot(v, v)
     sq = g.diagonal().copy()
     norm = np.sqrt(np.maximum(sq, 0.0))
     gamma = _gamma(v.size + 2 * n + 8)

@@ -1,11 +1,15 @@
-"""A frozen, plainly written copy of the temporal merge, for differential tests.
+"""Frozen, plainly written copies of the temporal merge and of retrieval,
+for differential tests.
 
-This is the streaming merge as it stood before its decisions moved to the
-Gram matrix: concatenate the clusters and the new frame, pick the Ward pair
-from the full pairwise distance matrix, then run weighted Lloyd on full
-distance matrices. The library must produce the same numbers bit for bit.
-Nothing under src/ imports this module; it depends on numpy and on the
-ClusterSet type only, so a change to the library's helpers cannot change it.
+single_step_merge is the streaming merge as it stood before its decisions
+moved to the Gram matrix: concatenate the clusters and the new frame, pick
+the Ward pair from the full pairwise distance matrix, then run weighted Lloyd
+on full distance matrices. The library must produce the same numbers bit for
+bit. retrieve is retrieval as it stood before it carried distance rows: one
+product of the selected centroids with every key in the ring, then an argmin
+per rank over the columns gathered newest first. Nothing under src/ imports
+this module; it depends on numpy, on the ClusterSet type and on the key
+ring's layout only, so a change to the library's helpers cannot change it.
 """
 
 import numpy as np
@@ -88,3 +92,25 @@ def single_step_merge(state, vector, newest, k):
         vectors=out_v[order], weights=out_w[order], newest=out_n[order],
         converged=converged,
     )
+
+
+def retrieve(buffer, temporal, n_ret):
+    """(frame_index, cluster_rank, cluster_index, distance) of each pick.
+
+    buffer is a FeatureBuffer at its ring's tip: entries[i] is keyed by ring
+    row (pushes - 1 - i) % capacity.
+    """
+    if temporal.count == 0:
+        return []
+    n = len(buffer.entries)
+    n_sel = min(n_ret, temporal.count, n)
+    rank_order = np.argsort(-temporal.weights, kind="stable")[:n_sel]
+    slots = (buffer.pushes - 1 - np.arange(n)) % buffer.capacity
+    d2 = pairwise_sq_dists(temporal.vectors[rank_order], buffer.ring.keys[:n])[:, slots]
+    out = []
+    for rank, cluster_i in enumerate(rank_order):
+        pos = int(d2[rank].argmin())
+        out.append((buffer.entries[pos].frame_index, rank, int(cluster_i),
+                    float(d2[rank, pos])))
+        d2[:, pos] = np.inf
+    return out

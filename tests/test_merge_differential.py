@@ -1,4 +1,5 @@
-"""The streaming merge against its frozen reference, and against its own fixed point.
+"""The streaming merge and retrieval against their frozen references, and the
+merge against its own fixed point.
 
 tests/reference.py holds the merge as the full Ward+Lloyd path on vectors.
 The library takes the same decisions from a Gram matrix and falls back to
@@ -6,6 +7,12 @@ that path when a decision is within rounding, so after every frame its
 output must match the reference bit for bit. The fixed-point test checks the
 library's output alone: every input sits in its nearest output centroid's
 cluster, and every centroid is the weighted mean of its cluster.
+
+tests/reference.py also holds retrieval as one full pass over the key ring.
+The library decides on distance rows it carries from write to write and
+falls back to that pass when a pick is within rounding, so after every
+write_frame its picks must be the reference's, and its distances within the
+rounding of the terms that cancel.
 """
 
 import itertools
@@ -13,8 +20,8 @@ import itertools
 import numpy as np
 import pytest
 
-from starmem import ClusterSet, single_step_merge
-from starmem import wkmeans
+from starmem import ClusterSet, FeatureMap, MemoryConfig, StarMemory, single_step_merge, write_frame
+from starmem import memory, wkmeans
 
 import reference
 
@@ -174,3 +181,102 @@ def test_converged_output_is_a_lloyd_fixed_point(stream, k):
                 np.testing.assert_allclose(state.vectors[c], mean, rtol=1e-12,
                                            atol=1e-12 * np.sqrt(scale))
     assert checked > 20
+
+
+# -- retrieval ---------------------------------------------------------------
+
+def identical(rng, n, dim):
+    """One frame, repeated: every key ties with every other."""
+    frame = 60.0 + 0.1 * rng.normal(size=dim)
+    return [frame.copy() for _ in range(n)]
+
+
+WRITE_STREAMS = dict(STREAMS, identical=identical)
+
+
+def retrieval_config(rng, n_ret, d):
+    """Frames of side 2 keyed unpooled (p_tem = 2), so a key is its frame."""
+    n_buff = int(rng.choice([5, 6, 7, 9, 10, 11, 13]))  # not multiples of 4
+    return MemoryConfig(p_spa=2, p_tem=2, p_abs=1, n_buff=n_buff, n_spa=1,
+                        n_tem=int(rng.integers(n_ret, 7)), n_abs=2, n_ret=n_ret, dim=d)
+
+
+def written(cfg, frames):
+    """Write frames through write_frame, checking retrieval against the
+    reference after every write; yields each version."""
+    mem = StarMemory.new(cfg)
+    for t, v in enumerate(frames):
+        values = v.reshape(2, 2, cfg.dim).astype(np.float32)
+        mem = write_frame(mem, FeatureMap(t, float(t), 2, cfg.dim, values))
+        want = reference.retrieve(mem.buffer, mem.temporal, cfg.n_ret)
+        got = [(r.frame.frame_index, r.cluster_rank, r.cluster_index) for r in mem.retrieved]
+        assert got == [w[:3] for w in want], f"write {t}"
+        for r, w in zip(mem.retrieved, want):
+            x = mem.temporal.vectors[r.cluster_index]
+            k = r.frame.values.reshape(-1).astype(np.float64)
+            assert abs(r.distance - w[3]) <= 1e-12 * (np.dot(x, x) + np.dot(k, k)), f"write {t}"
+        yield mem
+
+
+def write_both(cfg, frames):
+    for _ in written(cfg, frames):
+        pass
+
+
+@pytest.fixture
+def count_full_passes(monkeypatch):
+    """Count calls of retrieval's full pass; returns the live counter."""
+    calls = {"n": 0}
+    full = memory._full_pass_picks
+
+    def counting(*args):
+        calls["n"] += 1
+        return full(*args)
+
+    monkeypatch.setattr(memory, "_full_pass_picks", counting)
+    return calls
+
+
+@pytest.mark.parametrize("stream", sorted(WRITE_STREAMS))
+@pytest.mark.parametrize("n_ret", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_retrieval_equal_to_reference(stream, n_ret, seed):
+    rng = np.random.default_rng([seed, n_ret, 17])
+    cfg = retrieval_config(rng, n_ret, int(rng.integers(1, 9)))
+    frames = WRITE_STREAMS[stream](rng, 4 * cfg.n_buff + 3, 4 * cfg.dim)
+    write_both(cfg, frames)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("stream", sorted(WRITE_STREAMS))
+def test_retrieval_equal_to_reference_long_rows(stream):
+    # Keys of 8196 floats: longer than 8192, where numpy's einsum sums a
+    # lone row in a different order from the same row inside a matrix.
+    rng = np.random.default_rng(9)
+    cfg = retrieval_config(rng, 3, 2049)
+    write_both(cfg, WRITE_STREAMS[stream](rng, 4 * cfg.n_buff + 3, 4 * cfg.dim))
+
+
+def test_retrieval_on_a_continuous_stream_never_falls_back(count_full_passes):
+    # A centroid of two frames lies at their exact midpoint, so the two tie
+    # in exact arithmetic, and deciding between them takes the full pass's
+    # rounding. Any other fallback on this stream means the slack is loose.
+    checked = 0
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 23])
+        cfg = retrieval_config(rng, 3, 64)
+        before = count_full_passes["n"]
+        for mem in written(cfg, continuous(rng, 6 * cfg.n_buff, 4 * cfg.dim)):
+            fell_back, before = count_full_passes["n"] > before, count_full_passes["n"]
+            weights = [mem.temporal.weights[r.cluster_index] for r in mem.retrieved]
+            if 2.0 not in weights:
+                assert not fell_back, f"write {mem.epoch - 1}"
+                checked += 1
+    assert checked >= 100
+
+
+def test_retrieval_ties_fall_back_to_the_same_picks(count_full_passes):
+    rng = np.random.default_rng(4)
+    cfg = retrieval_config(rng, 3, 2)
+    write_both(cfg, quantised_with_ties(rng, 4 * cfg.n_buff + 3, 4 * cfg.dim))
+    assert count_full_passes["n"] >= 1

@@ -8,9 +8,12 @@ root of that tree, one process at a time; the side that runs first
 alternates from pair to pair. Prints every run's end-to-end metrics, then
 per metric each side's median and quartiles and the number of pairs the
 change wins (ties count for neither side), with the direction each metric
-is better in taken from the parent's BENCHMARK.json. Exits 1 if any run
-fails or reports ``failed > 0``. Reads the trees; writes nothing to them
-besides what run.py itself does. Standard library only.
+is better in taken from the parent's BENCHMARK.json. Then prints a
+``WORSE`` line for each metric whose change median is worse than the
+parent's by more than the metric's ``bound`` there, a fraction of the
+parent's median. Exits 1 if there is such a line, or if any run fails or
+reports ``failed > 0``. Reads the trees; writes nothing to them besides
+what run.py itself does. Standard library only.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     pairs: list[dict[str, dict]] = []   # per pair: side -> metric -> value
     ok = True
     print(f"{'pair':>4s} {'side':6s} " + " ".join(f"{m:>15s}" for m in better))
@@ -78,6 +82,7 @@ def main(argv=None) -> int:
     print(f"\nworkload {args.workload}, seed {args.seed}, {args.seconds:g} s per run")
     print(f"{'metric':16s} {'better':6s} {'parent q1/med/q3':>30s} "
           f"{'change q1/med/q3':>30s} {'change wins':>12s}")
+    worse = []
     for m, direction in better.items():
         side_values = {s: [p[s][m] for p in pairs if s in p] for s in SIDES}
         if not all(side_values.values()):
@@ -87,7 +92,14 @@ def main(argv=None) -> int:
         spread = ["/".join(f"{v:.4g}" for v in quartiles(side_values[s])) for s in SIDES]
         print(f"{m:16s} {direction:6s} {spread[0]:>30s} {spread[1]:>30s} "
               f"{wins:>5d} of {len(both):<3d}")
-    return 0 if ok else 1
+        parent, change = (statistics.median(side_values[s]) for s in SIDES)
+        loss = (change - parent) if direction == "lower" else (parent - change)
+        if loss > bound[m] * abs(parent):
+            worse.append(f"WORSE {m}: change median {change:.4g} against parent "
+                         f"{parent:.4g}, beyond the bound of {bound[m]:g}")
+    print()
+    print("\n".join(worse) if worse else "no metric worse than its bound")
+    return 0 if ok and not worse else 1
 
 
 if __name__ == "__main__":
