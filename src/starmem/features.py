@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -15,7 +16,8 @@ class ConfigError(ValueError):
 class FeatureMap:
     """One frame's square feature grid with provenance.
 
-    values has shape (side, side, dim), row-major (row, col, channel).
+    values has shape (side, side, dim), row-major (row, col, channel), and a
+    floating dtype: pooling casts back to it, so integers would truncate.
     """
 
     frame_index: int
@@ -27,8 +29,9 @@ class FeatureMap:
     def __post_init__(self):
         if self.frame_index < 0:
             raise ValueError("frame_index must be non-negative")
-        if self.timestamp_s < 0:
-            raise ValueError("timestamp_s must be non-negative")
+        # NaN would pass every ordering check downstream.
+        if not math.isfinite(self.timestamp_s) or self.timestamp_s < 0:
+            raise ValueError("timestamp_s must be finite and non-negative")
         if self.side <= 0 or self.dim <= 0:
             raise ValueError("side and dim must be positive")
         v = np.asarray(self.values)
@@ -36,6 +39,8 @@ class FeatureMap:
             raise ValueError(
                 f"values shape {v.shape} != ({self.side}, {self.side}, {self.dim})"
             )
+        if not np.issubdtype(v.dtype, np.floating):
+            raise ValueError(f"feature values must be floating point, got {v.dtype}")
         if not np.all(np.isfinite(v)):
             raise ValueError("feature values must be finite")
         object.__setattr__(self, "values", v)

@@ -198,9 +198,17 @@ def load_run_config(path) -> tuple[MemoryConfig, dict]:
     unknown = set(data) - _CONFIG_KEYS - _RUN_KEYS
     if unknown:
         raise FormatError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key, kind in (("seed", int), ("realtime", bool), ("mode", str)):
+        if key in data and not _is(data[key], kind):
+            raise FormatError(f"{path}: {key} must be {kind.__name__}, got {data[key]!r}")
     cfg_kwargs = {k: v for k, v in data.items() if k in _CONFIG_KEYS}
     run = {k: v for k, v in data.items() if k in _RUN_KEYS}
     return MemoryConfig(**cfg_kwargs), run
+
+
+def _is(value, kind) -> bool:
+    """isinstance, except that a bool is not an int."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def window_from_run_options(run: dict) -> WindowSpec:
@@ -234,7 +242,11 @@ def load_event_script(path, seed_override: int | None = None) -> EventScript:
     for req in ("fps", "side", "dim", "events"):
         if req not in data:
             raise FormatError(f"{path}: missing required key {req!r}")
-    seed = seed_override if seed_override is not None else int(data.get("seed", 0))
+    seed = data.get("seed", 0)
+    if not _is(seed, int):
+        raise FormatError(f"{path}: seed must be int, got {seed!r}")
+    if seed_override is not None:
+        seed = seed_override
     side, dim = int(data["side"]), int(data["dim"])
     n = side * side * dim
     scale = float(data.get("mean_scale", 10.0))

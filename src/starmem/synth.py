@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +117,11 @@ class WindowSpec:
     def __post_init__(self):
         if self.mode not in ("global", "breakpoint"):
             raise ValueError(f"unknown window mode {self.mode!r}")
+        for name in ("breakpoint_s", "half_width_s"):
+            v = getattr(self, name)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                                  or not math.isfinite(v)):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.mode == "breakpoint":
             if self.breakpoint_s is None or self.breakpoint_s < 0:
                 raise ValueError("breakpoint mode requires breakpoint_s >= 0")

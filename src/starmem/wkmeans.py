@@ -8,13 +8,12 @@ canonical order, ascending newest frame index.
 
 The streaming path folds one new frame of weight 1, newer than every cluster,
 by merging the cheapest (Ward-cost) pair and refining with weighted Lloyd
-iterations. It takes those decisions from the small Gram matrix of the
-clusters and the frame, each only when it wins by more than a rounding bound,
-and computes just the clusters that result; otherwise it runs the same
-decisions on the vectors. Both ways give the same output bits. The batch
-path seeds from the heaviest points and, on small
-instances, searches all seed subsets so the result is as good as
-exhaustive-seeding Lloyd.
+iterations. It takes the Ward pair and the first assignment from the small
+Gram matrix of the clusters and the frame, each when it wins by more than a
+rounding bound, and writes that one merge, which Lloyd cannot move; otherwise
+it runs Ward and Lloyd on the vectors. Both give the same output bits. The
+batch path seeds from the heaviest points and, on small instances, searches
+all seed subsets so the result is as good as exhaustive-seeding Lloyd.
 """
 
 from __future__ import annotations
@@ -146,11 +145,10 @@ def single_step_merge(state: ClusterSet, vector, newest: int, k: int) -> Cluster
     merges the pair with the lowest Ward cost w1*w2/(w1+w2) * d(v1, v2) into
     its weighted average, then refines with weighted Lloyd to convergence.
 
-    The Ward pair and every Lloyd assignment are taken from the Gram matrix
-    of the k clusters and the frame, and only the resulting clusters are
-    computed, each as a weighted mean of its members (see _gram_merge). When
-    a decision's margin is within rounding, or a cluster would be empty, the
-    merge runs the full Ward+Lloyd path on the vectors instead
+    The Ward pair and the first Lloyd assignment are taken from the Gram
+    matrix of the k clusters and the frame, and only the merged cluster is
+    computed (see _gram_merge). When a decision's margin is within rounding,
+    the merge runs the full Ward+Lloyd path on the vectors instead
     (_ward_lloyd_merge). Either way the output, converged flag included, is
     bitwise what the full path gives.
     """
@@ -224,29 +222,43 @@ def _certified_argmin(values: np.ndarray, slack: np.ndarray):
 
 
 def _gram_merge(V, v, weights, newest):
-    """The merge's decisions from the Gram matrix of X = [V; v], then its output.
+    """One Ward merge of X = [V; v], decided on the Gram matrix of X.
 
     V holds the k clusters and v the new frame; n = k + 1 rows in all. A
     centroid is a coefficient row b over the rows of X, so its squared
     distance to row i is G_ii - 2 (G b)_i + b G b^T with G = X X^T, and each
     decision costs (n, n) arithmetic instead of passes over (n, dim) arrays.
-    Returns None when a decision is within rounding or a cluster would be
-    empty; _ward_lloyd_merge then decides on the vectors.
+    The Ward pair (i, j) and the assignment of every row to its nearest seed
+    must each be certified, and the assignment must be the Ward one: i and j
+    on the merged seed, every other row on its own. Then row i goes, row j
+    (the newer, so canonical order holds) becomes the pair's weighted mean,
+    and the result is converged. Otherwise returns None, and
+    _ward_lloyd_merge decides on the vectors.
+
+    Why Lloyd seeded from a Ward merge moves nothing, in exact arithmetic:
+    with a = w_j / (w_i + w_j) and f_xy = w_x w_y / (w_x + w_y), row i lies
+    at a^2 d_ij from the merged mean, and for any other row l Ward
+    optimality gives f_il d_il >= f_ij d_ij = w_i a d_ij with f_il < w_i, so
+    d_il > a d_ij >= a^2 d_ij; likewise for row j. Every other row lies at 0
+    from its own seed, and one at the merged mean would make (i, l) the
+    cheaper Ward pair. The second iteration's centroids are the same exact
+    means, so the full path stops there, converged. Only exact ties
+    (coincident rows) break this, and the certificate refuses them.
 
     Rounding bound (see _gamma). Every squared distance either path computes,
     here from G or in pairwise_sq_dists from the vectors, is within
     gamma_m * (||x|| + ||c||)^2 of the exact distance between the vectors it
     was given, with m = dim + 2n + 8 covering the length-dim dot products,
-    the two length-n coefficient sums and the few operations after. The
-    vectors path rounds the centroids it forms (the merged seed, each
-    weighted mean), and here the coefficients are rounded; both stay within
-    eta = 4 * gamma_{n+6} * max ||x|| of the exact weighted combination,
-    which moves a squared distance by at most 2 r eta. With
-    r = ||x|| + sum_m |b_m| ||x_m|| + eta, the two paths' values for one
-    entry differ by at most 2 r (gamma_m r + eta); for a Ward cost
+    the two length-n coefficient sums and the few operations after. The full
+    path's seed x_i + a (x_j - x_i), its weighted mean of the pair and the
+    rounded coefficients here all stay within eta = 4 * gamma_{n+6} *
+    max ||x|| of the exact mean, which moves a squared distance by at most
+    2 r eta. With r = ||x|| + sum_m |b_m| ||x_m|| + eta, any two values for
+    one entry differ by at most 2 r (gamma_m r + eta); for a Ward cost
     f * d(x_i, x_j), by 2 f gamma_m (||x_i|| + ||x_j||)^2, the product's own
     rounding fitting in m's margin. Each decision must win by both entries'
-    slack (_certified_argmin).
+    slack (_certified_argmin), so one certified assignment is the one both of
+    the full path's Lloyd iterations make.
     """
     k = len(V)
     n = k + 1
@@ -274,49 +286,27 @@ def _gram_merge(V, v, weights, newest):
     coef = np.zeros((k, n))
     coef[0, i], coef[0, j] = 1.0 - a, a
     rows = np.arange(n)
-    coef[np.arange(1, k), rows[(rows != i) & (rows != j)]] = 1.0
+    others = (rows != i) & (rows != j)
+    coef[np.arange(1, k), rows[others]] = 1.0
+    gb = coef @ g                                    # row c holds G b_c
+    d2 = sq[:, None] - 2.0 * gb.T + np.einsum("cm,cm->c", gb, coef)[None, :]
+    np.maximum(d2, 0.0, out=d2)
     eta = 4.0 * _gamma(n + 6) * norm.max()
-    prev, converged = None, False
-    for _ in range(MAX_LLOYD_ITERS):
-        gb = coef @ g                                # row c holds G b_c
-        d2 = sq[:, None] - 2.0 * gb.T + np.einsum("cm,cm->c", gb, coef)[None, :]
-        np.maximum(d2, 0.0, out=d2)
-        r = norm[:, None] + (coef @ norm)[None, :] + eta
-        assign = _certified_argmin(d2, 2.0 * r * (gamma * r + eta))
-        if assign is None:
-            return None
-        counts = np.bincount(assign, minlength=k)
-        if not counts.all():
-            return None
-        if prev is not None and np.array_equal(assign, prev):
-            converged = True
-            break
-        coef = np.zeros((k, n))
-        coef[assign, rows] = weights / np.bincount(assign, weights, k)[assign]
-        prev = assign
+    r = norm[:, None] + (coef @ norm)[None, :] + eta
+    assign = _certified_argmin(d2, 2.0 * r * (gamma * r + eta))
+    if assign is None or not np.array_equal(assign, np.cumsum(others) * others):
+        return None
 
-    # Each cluster is a run of `members`, its rows in ascending order, so
-    # sums run in _build_result's order. Rows are in canonical order, so a
-    # cluster's newest frame is its last row's.
-    members = np.argsort(assign, kind="stable")
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    out_w = weights[members[starts]]
-    for c in np.flatnonzero(counts > 1):
-        out_w[c] = weights[members[starts[c]:ends[c]]].sum()
-    out_n = newest[members[ends - 1]]
-    order = _canonical_order(out_w, out_n)
+    # i < j <= k. What _weighted_mean gives for one member is x + 0.0 (it
+    # turns -0.0 into 0.0).
     out_v = np.empty((k, v.size))
-    for row, c in zip(out_v, order):
-        idx = members[starts[c]:ends[c]]
-        if len(idx) == 1:
-            # What _weighted_mean gives for one member (it turns -0.0 into 0.0).
-            np.add(V[idx[0]] if idx[0] < k else v, 0.0, out=row)
-        else:
-            vecs = V[idx] if idx[-1] < k else np.concatenate([V[idx[:-1]], v[None]])
-            row[:] = _weighted_mean(vecs, weights[idx])
-    return ClusterSet(vectors=out_v, weights=out_w[order], newest=out_n[order],
-                      converged=converged)
+    np.add(V[:i], 0.0, out=out_v[:i])
+    np.add(V[i + 1:], 0.0, out=out_v[i:k - 1])
+    np.add(v, 0.0, out=out_v[k - 1])
+    out_v[j - 1] = _weighted_mean(np.stack([V[i], V[j] if j < k else v]), weights[[i, j]])
+    out_w = np.delete(weights, i)
+    out_w[j - 1] = weights[i] + weights[j]
+    return ClusterSet(vectors=out_v, weights=out_w, newest=np.delete(newest, i))
 
 
 def _lloyd(vecs, weights, centroids):

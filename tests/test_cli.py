@@ -110,6 +110,28 @@ class TestRun:
                      "--input", str(script_path),
                      "--output", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("option", [
+        {"seed": 1.5}, {"half_width_s": "10"}, {"mode": "breakpoint", "breakpoint_s": "3"},
+        {"realtime": "no"},
+    ])
+    def test_mistyped_run_option_exit_2(self, tmp_path, script_path, config_path, option):
+        config = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**config, **option}))
+        # A short script, so that a run paced in real time would end soon.
+        script = json.loads(script_path.read_text())
+        script["fps"], script["events"][0]["end_s"] = 20.0, 1
+        script["events"][1].update(start_s=1, end_s=2)
+        script_path.write_text(json.dumps(script))
+        assert main(["run", "--config", str(config_path), "--input", str(script_path),
+                     "--output", str(tmp_path / "out")]) == 2
+
+    def test_script_seed_not_an_integer_exit_2(self, tmp_path, script_path):
+        script = json.loads(script_path.read_text())
+        script_path.write_text(json.dumps({**script, "seed": 1.5}))
+        assert main(["run", "--input", str(script_path),
+                     "--output", str(tmp_path / "out")]) == 2
+        assert main(["gen", str(script_path), str(tmp_path / "s.fvsf")]) == 2
+
     def test_empty_window_exit_2(self, tmp_path, script_path, config_path):
         assert main(["run", "--config", str(config_path),
                      "--input", str(script_path),

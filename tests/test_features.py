@@ -1,12 +1,19 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starmem import ConfigError, FeatureMap, MemoryConfig, avg_pool, flatten, unflatten
+from starmem import (ConfigError, FeatureMap, FrameOrderError, MemoryConfig, StarMemory,
+                     avg_pool, flatten, unflatten, write_frame)
+from starmem.cli import main
 from starmem.features import pairwise_sq_dists
+from starmem.fileio import write_stream_file
+from starmem.runtime import StreamSource
 
-from conftest import make_frame
+from conftest import make_frame, small_config
 
 
 class TestFeatureMap:
@@ -26,6 +33,39 @@ class TestFeatureMap:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             FeatureMap(-1, 0.0, 1, 1, np.zeros((1, 1, 1)))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_timestamp(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            FeatureMap(0, t, 1, 1, np.zeros((1, 1, 1)))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, bool])
+    def test_rejects_non_float_values(self, dtype):
+        # avg_pool casts back to the input dtype: [[1], [2]] would pool to 1.
+        with pytest.raises(ValueError, match="floating"):
+            FeatureMap(0, 0.0, 2, 1, np.array([1, 2, 1, 2]).astype(dtype).reshape(2, 2, 1))
+
+    def test_nan_timestamp_cannot_reverse_time(self):
+        mem = write_frame(StarMemory.new(small_config()), make_frame(0, dim=3, timestamp=5.0))
+        with pytest.raises(ValueError, match="finite"):
+            write_frame(mem, make_frame(1, dim=3, timestamp=math.nan))
+        assert mem.epoch == 1 and mem.buffer.ring.tip == 1
+        with pytest.raises(FrameOrderError):
+            write_frame(mem, make_frame(2, dim=3, timestamp=1.0))
+
+    def test_run_rejects_a_stream_file_with_a_nan_timestamp(self, tmp_path):
+        frames = [make_frame(i, side=4, dim=4) for i in range(3)]
+        path = tmp_path / "s.fvsf"
+        write_stream_file(path, StreamSource(frames=frames, fps=1.0))
+        raw = bytearray(path.read_bytes())
+        record = 16 + 4 * 4 * 4 * 4
+        struct.pack_into("<d", raw, 32 + record + 8, math.nan)  # frame 1's timestamp
+        path.write_bytes(raw)
+        config = tmp_path / "c.json"
+        config.write_text('{"p_spa": 4, "p_tem": 2, "p_abs": 1, "n_buff": 4, "n_spa": 1, '
+                          '"n_tem": 2, "n_abs": 2, "n_ret": 1, "dim": 4}')
+        assert main(["run", "--config", str(config), "--input", str(path),
+                     "--output", str(tmp_path / "out")]) == 2
 
 
 class TestAvgPool:

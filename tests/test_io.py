@@ -168,6 +168,31 @@ class TestRunConfig:
         with pytest.raises(FormatError):
             load_run_config(path)
 
+    @pytest.mark.parametrize("option", [
+        {"seed": 1.5}, {"seed": True}, {"seed": "3"}, {"realtime": "no"},
+        {"realtime": 1}, {"mode": 3}, {"mode": ["global"]},
+    ])
+    def test_mistyped_run_options_rejected(self, tmp_path, option):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"dim": 8, **option}))
+        with pytest.raises(FormatError, match=next(iter(option))):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("window", [
+        {"half_width_s": "10"}, {"half_width_s": True}, {"half_width_s": float("inf")},
+        {"mode": "breakpoint", "breakpoint_s": "3"},
+        {"mode": "breakpoint", "breakpoint_s": float("nan")},
+        {"breakpoint_s": False},
+    ])
+    def test_window_needs_finite_numbers(self, tmp_path, window):
+        with pytest.raises(ValueError, match="finite number"):
+            WindowSpec(**window)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"dim": 8, **window}, allow_nan=True))
+        _, run = load_run_config(path)
+        with pytest.raises(ValueError, match="finite number"):
+            window_from_run_options(run)
+
     def test_repository_example_configs_validate(self):
         for name in ("default.json", "small.json", "breakpoint.json"):
             cfg, run = load_run_config(CONFIGS_DIR / name)
@@ -211,6 +236,16 @@ class TestEventScriptFile:
         path.write_text(json.dumps(body))
         a = load_event_script(path, seed_override=6)
         assert a.seed == 6
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_seed_must_be_an_integer(self, tmp_path, seed):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "fps": 1.0, "side": 2, "dim": 1, "seed": seed,
+            "events": [{"start_s": 0, "end_s": 2, "std": 0}],
+        }))
+        with pytest.raises(FormatError, match="seed"):
+            load_event_script(path)
 
     def test_unknown_event_keys_rejected(self, tmp_path):
         path = tmp_path / "s.json"

@@ -138,6 +138,38 @@ def test_planted_ties_fall_back_to_the_same_numbers(count_fallbacks):
     assert count_fallbacks["n"] >= 1
 
 
+def test_uncertified_assignment_falls_back_to_the_same_numbers(monkeypatch, count_fallbacks):
+    # Single merges of rows packed tightly around a large offset: in about
+    # 3% of them the Ward pair is certified but the seed assignment is
+    # within rounding, so the merge's second certificate sends them to the
+    # full path.
+    calls = []
+    certify = wkmeans._certified_argmin
+
+    def recording(*args):
+        best = certify(*args)
+        calls.append(best is not None)
+        return best
+
+    monkeypatch.setattr(wkmeans, "_certified_argmin", recording)
+    rng = np.random.default_rng(29)
+    cases = 0
+    for _ in range(1500):
+        k, dim = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        offset, spread = 10 ** rng.uniform(0, 4), 10 ** rng.uniform(-9, -3)
+        x = offset * (1.0 + spread * rng.normal(size=(k + 1, dim)))
+        weights = rng.integers(1, 400, size=k).astype(np.float64)
+        state = ClusterSet(x[:k], weights, np.arange(k, dtype=np.int64))
+        calls.clear()
+        before = count_fallbacks["n"]
+        got = single_step_merge(state, x[k], k, k)
+        if calls == [True, False]:
+            cases += 1
+            assert count_fallbacks["n"] == before + 1
+        assert_same(got, reference.single_step_merge(state, x[k], k, k))
+    assert cases >= 20
+
+
 def assignments(d, scale):
     """Every assignment of inputs to nearest outputs, ties within rounding included."""
     near = d <= d.min(axis=1, keepdims=True) + 1e-9 * scale

@@ -86,3 +86,23 @@ def test_reader_waits_smoke():
     requests = int(lines[0].split(", ")[-1].split()[0])
     assert requests > 0
     assert sum(int(line.split()[-3]) for line in lines[2:]) == requests
+
+
+def test_fallback_rates_smoke():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "fallback_rates.py"), "--smoke", "--writes", "40"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].endswith("24 fill writes, 40 steady writes")
+    rows = {line[:36].strip(): [int(c) for c in line[36:].split()] for line in lines[2:]}
+    assert list(rows) == ["merges at capacity", "fallbacks to the full merge",
+                          "uncertified Ward pick", "uncertified assignment",
+                          "retrieval full passes"]
+    # The tiny config keeps 6 clusters, so every write after the sixth merges.
+    assert rows["merges at capacity"] == [24 - 6, 40]
+    full = rows["fallbacks to the full merge"]
+    for phase in (0, 1):
+        assert (rows["uncertified Ward pick"][phase]
+                + rows["uncertified assignment"][phase] <= full[phase])
